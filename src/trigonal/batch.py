@@ -38,10 +38,11 @@ def _forward_suite(cfg: SampleConfig) -> CheckReport:
 
 def _special_props(cfg: SampleConfig) -> CheckReport:
     tower = sample_tower(cfg)
-    report = verify_predictions(tower, construct(tower))
+    result = construct(tower)
+    report = verify_predictions(tower, result)
     checks = list(report.checks)
     try:
-        tetragonal = TetragonalCover(component_tetragonal(construct(tower)))
+        tetragonal = TetragonalCover(component_tetragonal(result))
         checks.append(
             CheckResult(
                 "component-tetragonal-stratum",

@@ -4,7 +4,9 @@ Commands mirror the library: validate / construct / invert / classify
 for single documents, sample for generating instances, roundtrip and
 batch for verification runs, verify-coefficients for the exact
 identity table.  Exit status is 0 only when everything asked for
-passed.  Documents go to --out (or stdout); wall-clock timing goes to
+passed, 1 when a check failed, and 2 when an argument or input
+document is rejected; a rejection prints one ``error:`` line on
+stderr.  Documents go to --out (or stdout); wall-clock timing goes to
 stderr so captured output stays canonical.
 """
 from __future__ import annotations
@@ -307,7 +309,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ValueError as err:
+        print(f"error: {err}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

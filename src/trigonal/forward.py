@@ -8,17 +8,20 @@ once is a fixed-point-free involution; its quotient is a degree-4
 (tetragonal) cover, and the parity of the number of exchanged choices
 gives a further degree-2 orientation cover.
 
-Transversals are indexed lexicographically: blocks are ordered by
-their smallest sheet, each block ascending, and transversal ``t``
-corresponds to the bit triple of ``t - 1`` (bit set means the larger
-sheet is chosen).  Index 1 is therefore the transversal of all smaller
-sheets, and the parity classes of the orientation cover are counted
-relative to it; equivariance of that choice is asserted each time an
-orientation action is induced.
+Transversals are indexed lexicographically, and ``transversals`` is
+the one source of that index order: blocks are ordered by their
+smallest sheet, each block ascending, and transversal ``t`` corresponds
+to the bit triple of ``t - 1`` (bit set means the larger sheet is
+chosen).  Index 1 is therefore the transversal of all smaller sheets,
+complementing every choice sends ``t`` to ``9 - t``, and the parity
+classes of the orientation cover are counted relative to index 1.  Each
+action on these sets is induced by ``induced_action``, which raises if
+a set is not carried onto a set.
 """
 from __future__ import annotations
 
 import dataclasses
+import itertools
 from dataclasses import dataclass
 
 from .covers import (
@@ -32,7 +35,7 @@ from .covers import (
     genus,
     label_cycles,
 )
-from .permutation import Permutation, compose, conjugate
+from .permutation import Permutation, compose, conjugate, induced_action
 from .report import CheckReport, CheckResult
 from .towers import ETALE, GENERAL, SPECIAL, BlockSystem, Tower
 
@@ -49,42 +52,25 @@ class Transversal:
 
 def transversals(blocks: BlockSystem) -> tuple[Transversal, ...]:
     """All eight transversals in lexicographic order of their sheet triples."""
-    out = []
-    for t in range(1, SECTION_COUNT + 1):
-        bits = _bits(t)
-        out.append(Transversal(tuple(blocks[i][bits[i]] for i in range(3)), t))
-    return tuple(out)
+    return tuple(
+        Transversal(sheets, t) for t, sheets in enumerate(itertools.product(*blocks), start=1)
+    )
 
 
-def _bits(index: int) -> tuple[int, int, int]:
-    t = index - 1
-    return ((t >> 2) & 1, (t >> 1) & 1, t & 1)
-
-
-def _index(bits: tuple[int, int, int]) -> int:
-    return 1 + bits[0] * 4 + bits[1] * 2 + bits[2]
-
-
-def _parity(index: int) -> int:
-    return bin(index - 1).count("1") & 1
+# involution classes {t, 9 - t}, numbered by their smaller member
+_QUOTIENT_CLASSES = tuple((t, 9 - t) for t in range(1, 5))
+# parity classes: an even, then an odd number of larger sheets chosen
+_PARITY_CLASSES = tuple(
+    tuple(t for t in range(1, SECTION_COUNT + 1) if bin(t - 1).count("1") % 2 == p) for p in (0, 1)
+)
 
 
 def sections_action(perm: Permutation, blocks: BlockSystem) -> Permutation:
     """The induced permutation of the eight transversals."""
     if perm.degree != 6:
         raise ValueError("sections are defined for degree-6 permutations")
-    images = []
-    for t in range(1, SECTION_COUNT + 1):
-        bits = _bits(t)
-        new_bits: list[int | None] = [None, None, None]
-        for i in range(3):
-            image_sheet = perm(blocks[i][bits[i]])
-            j = blocks.block_index(image_sheet) - 1
-            if new_bits[j] is not None:
-                raise ValueError(f"permutation does not preserve the blocks: {perm}")
-            new_bits[j] = blocks[j].index(image_sheet)
-        images.append(_index((new_bits[0], new_bits[1], new_bits[2])))  # type: ignore[arg-type]
-    return Permutation(tuple(images))
+    # the sheet triples of ``transversals``, in its order
+    return induced_action(perm, tuple(itertools.product(*blocks)))
 
 
 def _involution() -> Permutation:
@@ -92,27 +78,19 @@ def _involution() -> Permutation:
     return Permutation(tuple(9 - t for t in range(1, SECTION_COUNT + 1)))
 
 
-def _class_index(t: int) -> int:
-    # involution classes {t, 9 - t}, numbered by their smaller member
-    return min(t, 9 - t)
+def _class_map(classes: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
+    """The number of the class holding each transversal index."""
+    return tuple(
+        c for t in range(1, SECTION_COUNT + 1) for c, cls in enumerate(classes, start=1) if t in cls
+    )
 
 
 def _quotient_action(sections: Permutation) -> Permutation:
-    images = []
-    for c in range(1, 5):
-        image = _class_index(sections(c))
-        if _class_index(sections(9 - c)) != image:
-            raise AssertionError("involution classes are not preserved by a section action")
-        images.append(image)
-    return Permutation(tuple(images))
+    return induced_action(sections, _QUOTIENT_CLASSES)
 
 
 def _orientation_action(sections: Permutation) -> Permutation:
-    # either every parity is preserved or every parity swaps
-    swaps = {_parity(t) ^ _parity(sections(t)) for t in range(1, SECTION_COUNT + 1)}
-    if len(swaps) != 1:
-        raise AssertionError("parity classes are not equivariant under a section action")
-    return Permutation((2, 1)) if swaps.pop() else Permutation.identity(2)
+    return induced_action(sections, _PARITY_CLASSES)
 
 
 @dataclass(frozen=True)
@@ -134,12 +112,6 @@ class ForwardResult:
     to_quotient: tuple[int, ...]
     to_orientation: tuple[int, ...]
     nodes: NodeMarkers | None
-
-    def sections_model(self) -> NodalCoverModel:
-        return self.nodes.sections if self.nodes is not None else NodalCoverModel(self.sections)
-
-    def quotient_model(self) -> NodalCoverModel:
-        return self.nodes.quotient if self.nodes is not None else NodalCoverModel(self.quotient)
 
 
 def construct(tower: Tower) -> ForwardResult:
@@ -174,8 +146,8 @@ def construct(tower: Tower) -> ForwardResult:
         involution=involution,
         quotient=BranchedCover.from_pairs(4, quotient_entries),
         orientation=BranchedCover.from_pairs(2, orientation_entries),
-        to_quotient=tuple(_class_index(t) for t in range(1, SECTION_COUNT + 1)),
-        to_orientation=tuple(_parity(t) + 1 for t in range(1, SECTION_COUNT + 1)),
+        to_quotient=_class_map(_QUOTIENT_CLASSES),
+        to_orientation=_class_map(_PARITY_CLASSES),
         nodes=None,
     )
     if tower.mode == SPECIAL:
@@ -197,25 +169,19 @@ def special_nodes(tower: Tower, result: ForwardResult) -> NodeMarkers:
     if tower.mode != SPECIAL:
         raise ValueError(f"special nodes exist only for special towers, mode is {tower.mode!r}")
     label = tower.flips[0].label
-    flipped = {p.cycle[0] for p in tower.flips}  # 1-based block indices
-    (spare,) = set(range(1, 4)) - flipped
-    flip_bits = tuple(1 if i + 1 in flipped else 0 for i in range(3))
+    (spare,) = set(range(1, 4)) - {p.cycle[0] for p in tower.flips}  # 1-based block indices
+    smaller = tower.blocks[spare - 1][0]
+    chosen = {t.index: t.sheets[spare - 1] for t in transversals(tower.blocks)}
 
-    # orbits of the section action at the flip label, keyed by the choice
-    # made on the unflipped block
-    by_choice: dict[int, list[tuple[int, ...]]] = {0: [], 1: []}
-    seen: set[int] = set()
-    for t in range(1, SECTION_COUNT + 1):
-        if t in seen:
-            continue
-        bits = _bits(t)
-        partner = _index((bits[0] ^ flip_bits[0], bits[1] ^ flip_bits[1], bits[2] ^ flip_bits[2]))
-        seen.update({t, partner})
-        by_choice[bits[spare - 1]].append(tuple(sorted((t, partner))))
+    # orbits of the section action at the flip label, grouped by the
+    # choice made on the unflipped block
+    by_choice: dict[bool, list[tuple[int, ...]]] = {True: [], False: []}
+    for cycle in result.sections.perm_at(label).cycles():
+        by_choice[chosen[cycle[0]] == smaller].append(cycle)
 
     node_pairs = []
-    for choice in (0, 1):
-        first, second = sorted(by_choice[choice], key=min)
+    for choice in (True, False):
+        first, second = by_choice[choice]
         node_pairs.append((CoverPoint(label, first), CoverPoint(label, second)))
 
     quotient_cycles = label_cycles(result.quotient, label)

@@ -44,7 +44,7 @@ from .covers import (
     nodal_isomorphism,
 )
 from .forward import component_tetragonal, construct
-from .permutation import Permutation, compose
+from .permutation import Permutation, compose, induced_action
 from .report import CheckReport, CheckResult
 from .towers import (
     ETALE,
@@ -57,7 +57,6 @@ from .towers import (
 )
 
 PAIRS: tuple[tuple[int, int], ...] = tuple(combinations(range(1, 5), 2))
-PAIR_INDEX: dict[tuple[int, int], int] = {pair: i + 1 for i, pair in enumerate(PAIRS)}
 PARTITION_BLOCKS = BlockSystem.from_pairs([(1, 6), (2, 5), (3, 4)])
 
 STRATUM_M0 = "m0"
@@ -83,15 +82,12 @@ def pairs_action(perm: Permutation) -> Permutation:
     """Induced permutation of the six unordered sheet pairs."""
     if perm.degree != 4:
         raise ValueError("pairs are formed from degree-4 permutations")
-    images = []
-    for a, b in PAIRS:
-        images.append(PAIR_INDEX[tuple(sorted((perm(a), perm(b))))])
-    return Permutation(tuple(images))
+    return induced_action(perm, PAIRS)
 
 
 def complement_involution() -> Permutation:
     """Pair complementation, as a permutation of pair indices."""
-    return Permutation(tuple(PAIR_INDEX[tuple(sorted(set(range(1, 5)) - set(p)))] for p in PAIRS))
+    return Permutation(tuple(PAIRS.index(tuple(sorted({1, 2, 3, 4} - set(p)))) + 1 for p in PAIRS))
 
 
 def partition_action(perm: Permutation) -> Permutation:

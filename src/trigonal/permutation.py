@@ -9,6 +9,7 @@ the identity".
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -132,6 +133,30 @@ def product(perms: Sequence[Permutation], degree: int | None = None) -> Permutat
 def conjugate(p: Permutation, rho: Permutation) -> Permutation:
     """``rho^-1 . p . rho`` in apply-first order: ``x -> rho(p(rho^-1(x)))``."""
     return compose(compose(rho.inverse(), p), rho)
+
+
+@functools.lru_cache(maxsize=None)
+def induced_action(perm: Permutation, points: tuple[tuple[int, ...], ...]) -> Permutation:
+    """The permutation ``perm`` induces on ``points``, an ordered tuple of
+    sheet sets numbered from 1.
+
+    Raises ``ValueError`` when a point names a sheet outside
+    ``1..perm.degree`` or when its image is not one of the points.
+    Memoized: every group acting in this package has at most 48
+    elements and acts on a few fixed point tuples, and calls that raise
+    are not stored, so the memo stays small.
+    """
+    index = {frozenset(point): i for i, point in enumerate(points, start=1)}
+    images = []
+    for point in points:
+        if not all(1 <= sheet <= perm.degree for sheet in point):
+            raise ValueError(f"point {point!r} names a sheet outside 1..{perm.degree}")
+        image = tuple(perm(sheet) for sheet in point)
+        try:
+            images.append(index[frozenset(image)])
+        except KeyError:
+            raise ValueError(f"point {point!r} maps to {image!r}, which is not a point") from None
+    return Permutation(tuple(images))
 
 
 def orbits(perms: Sequence[Permutation], degree: int | None = None) -> tuple[tuple[int, ...], ...]:

@@ -25,12 +25,3 @@ class CheckReport:
 
     def failures(self) -> tuple[CheckResult, ...]:
         return tuple(c for c in self.checks if not c.passed)
-
-    def check_names(self) -> tuple[str, ...]:
-        return tuple(c.name for c in self.checks)
-
-    def require(self) -> "CheckReport":
-        if not self.passed:
-            lines = [f"{c.name}: {c.detail or 'failed'}" for c in self.failures()]
-            raise AssertionError(f"{self.title}: " + "; ".join(lines))
-        return self

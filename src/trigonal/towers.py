@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .covers import BranchedCover, CoverPoint, genus
-from .permutation import Permutation, orbits
+from .permutation import Permutation, induced_action, orbits
 
 ETALE = "etale"
 GENERAL = "general"
@@ -70,13 +70,7 @@ def block_action(perm: Permutation, blocks: BlockSystem) -> Permutation:
     """
     if perm.degree != 6:
         raise ValueError("block action is defined for degree-6 permutations")
-    images = []
-    for i, (a, b) in enumerate(blocks):
-        ia, ib = blocks.block_index(perm(a)), blocks.block_index(perm(b))
-        if ia != ib:
-            raise ValueError(f"block {i + 1} is torn apart: {a}->{perm(a)}, {b}->{perm(b)}")
-        images.append(ia)
-    return Permutation(tuple(images))
+    return induced_action(perm, blocks.blocks)
 
 
 def flip_points(cover: BranchedCover, blocks: BlockSystem) -> tuple[CoverPoint, ...]:

@@ -1,3 +1,4 @@
+import itertools
 import json
 from pathlib import Path
 
@@ -93,3 +94,16 @@ def block_preserving_permutations():
 
 
 CANONICAL_BLOCKS = BlockSystem.from_pairs([(1, 2), (3, 4), (5, 6)])
+
+
+def _preserves_blocks(perm, blocks):
+    return {frozenset(map(perm, b)) for b in blocks} == {frozenset(b) for b in blocks}
+
+
+# the 48-element group of degree-6 permutations preserving CANONICAL_BLOCKS
+BLOCK_GROUP = tuple(
+    p
+    for p in map(Permutation, itertools.permutations(range(1, 7)))
+    if _preserves_blocks(p, CANONICAL_BLOCKS)
+)
+S4 = tuple(map(Permutation, itertools.permutations(range(1, 5))))

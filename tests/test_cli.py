@@ -163,3 +163,20 @@ def test_batch_md(capsys):
 def test_unknown_command_exits_with_usage(capsys):
     with pytest.raises(SystemExit):
         main(["frobnicate"])
+
+
+def test_rejected_input_prints_one_error_line_and_exits_2(tmp_path, capsys):
+    torn = json.loads((FIXTURES / "tower_special_g3.json").read_text())
+    torn["blocks"] = [[1, 2], [3, 5], [4, 6]]
+    doc = tmp_path / "torn.json"
+    doc.write_text(json.dumps(torn))
+    for argv in (
+        ("batch", "--suite", "general-props", "--genus-min", "1"),
+        ("verify-coefficients", "--gmax", "2"),
+        ("construct", "--in", str(doc)),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == 2, argv
+        assert out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), err

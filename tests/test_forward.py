@@ -18,7 +18,7 @@ from trigonal import (
     verify_predictions,
 )
 
-from conftest import CANONICAL_BLOCKS
+from conftest import BLOCK_GROUP, CANONICAL_BLOCKS
 from test_towers import ETALE_COVER, GENERAL_COVER, SPECIAL_COVER
 
 ETALE = validate_tower(ETALE_COVER, CANONICAL_BLOCKS)
@@ -76,11 +76,21 @@ def test_weight_three_flip_is_the_involution():
 
 
 def test_sections_action_is_a_homomorphism_on_the_fixture():
-    perms = list(SPECIAL_COVER.monodromy)
-    for p, q in zip(perms, perms[1:]):
-        assert sections_action(compose(p, q), CANONICAL_BLOCKS) == compose(
-            sections_action(p, CANONICAL_BLOCKS), sections_action(q, CANONICAL_BLOCKS)
-        )
+    assert len(BLOCK_GROUP) == 48
+    assert set(SPECIAL_COVER.monodromy) <= set(BLOCK_GROUP)
+    for p in BLOCK_GROUP:
+        for q in BLOCK_GROUP:
+            assert sections_action(compose(p, q), CANONICAL_BLOCKS) == compose(
+                sections_action(p, CANONICAL_BLOCKS), sections_action(q, CANONICAL_BLOCKS)
+            )
+
+
+def test_sections_action_moves_transversals_as_sheet_sets():
+    ts = transversals(CANONICAL_BLOCKS)
+    by_set = {frozenset(t.sheets): t.index for t in ts}
+    for p in BLOCK_GROUP:
+        action = sections_action(p, CANONICAL_BLOCKS)
+        assert all(action(t.index) == by_set[frozenset(map(p, t.sheets))] for t in ts)
 
 
 # -- the three fixture constructions -----------------------------------------

@@ -10,6 +10,7 @@ from trigonal import (
     classify_fiber,
     complement_involution,
     component_tetragonal,
+    compose,
     construct,
     genus,
     glue_special,
@@ -23,7 +24,7 @@ from trigonal import (
 )
 from trigonal.inverse import as_tower
 
-from conftest import CANONICAL_BLOCKS
+from conftest import CANONICAL_BLOCKS, S4
 from test_towers import ETALE_COVER, SPECIAL_COVER
 
 
@@ -45,6 +46,13 @@ def test_pairs_action_profiles():
     # the double-double fixes exactly its own pair and the complement
     fixed = [PAIRS[i - 1] for i in range(1, 7) if pairs_action(double)(i) == i]
     assert fixed == [(1, 2), (3, 4)]
+
+
+def test_pairs_action_commutes_with_complement_on_all_of_s4():
+    kappa = complement_involution()
+    for p in S4:
+        induced = pairs_action(p)
+        assert compose(induced, kappa) == compose(kappa, induced)
 
 
 def test_partition_action_profiles():

@@ -2,9 +2,20 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from trigonal import Permutation, compose, conjugate, orbits, product
+from trigonal import (
+    Permutation,
+    block_action,
+    compose,
+    conjugate,
+    induced_action,
+    orbits,
+    partition_action,
+    product,
+    sections_action,
+)
+from trigonal.forward import _orientation_action, _quotient_action
 
-from conftest import permutations
+from conftest import BLOCK_GROUP, CANONICAL_BLOCKS, S4, permutations
 
 
 def test_identity():
@@ -111,3 +122,37 @@ def test_cycle_through_is_the_containing_cycle(p, x):
     cyc = p.cycle_through(x)
     assert x in cyc
     assert cyc in p.cycles(include_fixed=True)
+
+
+def test_induced_action_numbers_points_from_one():
+    points = ((1, 2), (3,), (4, 5))
+    assert induced_action(Permutation((4, 5, 3, 2, 1)), points).images == (3, 2, 1)
+    assert induced_action(Permutation((2, 1, 3, 4, 5)), points).is_identity()
+
+
+def test_induced_action_failures_raise_every_time_and_are_not_memoized():
+    torn = Permutation((2, 3, 1, 4, 5, 6))
+    short = Permutation((2, 1, 3, 4))
+    before = induced_action.cache_info().currsize
+    for _ in range(2):
+        with pytest.raises(ValueError, match=r"\(1, 2\) maps to \(2, 3\)"):
+            induced_action(torn, CANONICAL_BLOCKS.blocks)
+        with pytest.raises(ValueError, match=r"\(5, 6\) names a sheet outside 1\.\.4"):
+            induced_action(short, CANONICAL_BLOCKS.blocks)
+    assert induced_action.cache_info().currsize == before
+
+
+def test_induced_action_memo_is_bounded_by_the_group_orders():
+    induced_action.cache_clear()
+    for _ in range(2):
+        for p in BLOCK_GROUP:
+            block_action(p, CANONICAL_BLOCKS)
+            sections = sections_action(p, CANONICAL_BLOCKS)
+            _quotient_action(sections)
+            _orientation_action(sections)
+        for p in S4:
+            partition_action(p)
+    # one entry per group element and point tuple: the block group acts on
+    # blocks, transversals, involution classes and parity classes; S4 on
+    # pairs and, through its image in S6, on the pair partitions
+    assert induced_action.cache_info().currsize == 4 * len(BLOCK_GROUP) + 2 * len(S4)
