@@ -5,7 +5,8 @@ fixtures do not depend on the sampler.  Everything else is derived
 from them deterministically: the tetragonal fixture is a component of
 the sections curve of the split tower, the result fixtures are the
 constructions run on the fixtures, and the batch fixture pins a small
-seeded run.  Byte-identical regeneration is asserted by the suite.
+seeded run.  ``documents`` builds every payload; the suite compares
+their canonical dumps with the files byte for byte.
 """
 from __future__ import annotations
 
@@ -56,9 +57,8 @@ def hand_tower(h_perms, flip_perms):
     return validate_tower(cover, BLOCKS)
 
 
-def main() -> int:
-    FIXTURES.mkdir(parents=True, exist_ok=True)
-
+def documents() -> dict[str, dict]:
+    """Every fixture payload, by file name."""
     etale = hand_tower([A, A2, A, A2, A, A, A, A, C, C], [])
     special = hand_tower([A, A2, A, A, A, A, A, A, C, C], [F])
     general = hand_tower([A, A2, A, A, A, A, A, A, C, C], [F1, F2])
@@ -74,7 +74,7 @@ def main() -> int:
     )
     assert batch.passed
 
-    documents = {
+    return {
         "tower_etale_g3.json": tower_to_dict(etale),
         "tower_special_g3.json": tower_to_dict(special),
         "tower_general_g3.json": tower_to_dict(general),
@@ -83,7 +83,11 @@ def main() -> int:
         "inverse_m0_g2.json": inverse_result_to_dict(invert(tetragonal)),
         "batch_pinned.json": batch_report_to_dict(batch),
     }
-    for name, payload in documents.items():
+
+
+def main() -> int:
+    FIXTURES.mkdir(parents=True, exist_ok=True)
+    for name, payload in documents().items():
         path = FIXTURES / name
         path.write_text(dumps_canonical(payload))
         print(f"wrote {path}")

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
 
-from .permutation import Permutation, compose, orbits, product
+from .permutation import Permutation, induced_action, orbits, product
 
 
 @dataclass(frozen=True)
@@ -147,18 +147,27 @@ class Component:
         return self.sheets.index(parent_sheet) + 1
 
 
+def induced_cover(cover: BranchedCover, points: tuple[tuple[int, ...], ...]) -> BranchedCover:
+    """The cover induced on ``points``, sheet sets numbered from 1, with
+    trivially acting labels dropped; raises ``ValueError`` naming the
+    label whose monodromy does not carry points onto points."""
+    entries = []
+    for label, perm in cover.entries():
+        try:
+            action = induced_action(perm, points)
+        except ValueError as err:
+            raise ValueError(f"monodromy at {label!r}: {err}") from None
+        if not action.is_identity():
+            entries.append((label, action))
+    return BranchedCover.from_pairs(len(points), entries)
+
+
 def components(cover: BranchedCover) -> tuple[Component, ...]:
     """Connected components, ordered by their smallest parent sheet."""
-    out = []
-    for orbit in orbits(cover.monodromy, cover.degree):
-        index = {sheet: i + 1 for i, sheet in enumerate(orbit)}
-        entries = []
-        for label, perm in cover.entries():
-            restricted = Permutation(tuple(index[perm(s)] for s in orbit))
-            if not restricted.is_identity():
-                entries.append((label, restricted))
-        out.append(Component(BranchedCover.from_pairs(len(orbit), entries), orbit))
-    return tuple(out)
+    return tuple(
+        Component(induced_cover(cover, tuple((s,) for s in orbit)), orbit)
+        for orbit in orbits(cover.monodromy, cover.degree)
+    )
 
 
 @dataclass(frozen=True)
@@ -211,41 +220,43 @@ def iter_isomorphisms(first: BranchedCover, second: BranchedCover) -> Iterator[P
 
     n = first.degree
     pairs = list(zip(first.monodromy, second.monodromy))
+    for mapping in _extend(n, pairs, {}, set()):
+        yield Permutation(tuple(mapping[i] for i in range(1, n + 1)))
 
-    def extend(mapping: dict[int, int], used: set[int]) -> Iterator[dict[int, int]]:
-        if len(mapping) == n:
-            yield mapping
-            return
-        start = min(s for s in range(1, n + 1) if s not in mapping)
-        for target in range(1, n + 1):
-            if target in used:
-                continue
-            trial = dict(mapping)
-            trial_used = set(used)
-            trial[start] = target
-            trial_used.add(target)
-            queue = [start]
-            ok = True
-            while queue and ok:
-                x = queue.pop()
-                for sigma, sigma2 in pairs:
-                    want = sigma2(trial[x])
-                    got = trial.get(sigma(x))
-                    if got is None:
-                        if want in trial_used:
-                            ok = False
-                            break
-                        trial[sigma(x)] = want
-                        trial_used.add(want)
-                        queue.append(sigma(x))
-                    elif got != want:
+
+def _extend(n: int, pairs: list, mapping: dict[int, int], used: set[int]) -> Iterator[dict[int, int]]:
+    # not a closure: a recursive closure refers to itself through its own
+    # cell, a cycle that keeps ``pairs`` alive until a full collection
+    if len(mapping) == n:
+        yield mapping
+        return
+    start = min(s for s in range(1, n + 1) if s not in mapping)
+    for target in range(1, n + 1):
+        if target in used:
+            continue
+        trial = dict(mapping)
+        trial_used = set(used)
+        trial[start] = target
+        trial_used.add(target)
+        queue = [start]
+        ok = True
+        while queue and ok:
+            x = queue.pop()
+            for sigma, sigma2 in pairs:
+                want = sigma2(trial[x])
+                got = trial.get(sigma(x))
+                if got is None:
+                    if want in trial_used:
                         ok = False
                         break
-            if ok:
-                yield from extend(trial, trial_used)
-
-    for mapping in extend({}, set()):
-        yield Permutation(tuple(mapping[i] for i in range(1, n + 1)))
+                    trial[sigma(x)] = want
+                    trial_used.add(want)
+                    queue.append(sigma(x))
+                elif got != want:
+                    ok = False
+                    break
+        if ok:
+            yield from _extend(n, pairs, trial, trial_used)
 
 
 def are_isomorphic(first: BranchedCover, second: BranchedCover) -> Permutation | None:

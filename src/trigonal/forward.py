@@ -15,8 +15,9 @@ to the bit triple of ``t - 1`` (bit set means the larger sheet is
 chosen).  Index 1 is therefore the transversal of all smaller sheets,
 complementing every choice sends ``t`` to ``9 - t``, and the parity
 classes of the orientation cover are counted relative to index 1.  Each
-action on these sets is induced by ``induced_action``, which raises if
-a set is not carried onto a set.
+derived cover is one ``induced_cover`` call on these sets (transversals
+of the tower, then involution and parity classes of the sections
+cover), which raises if a set is not carried onto a set.
 """
 from __future__ import annotations
 
@@ -33,9 +34,10 @@ from .covers import (
     arithmetic_genus,
     components,
     genus,
+    induced_cover,
     label_cycles,
 )
-from .permutation import Permutation, compose, conjugate, induced_action
+from .permutation import Permutation, conjugate, induced_action
 from .report import CheckReport, CheckResult
 from .towers import ETALE, GENERAL, SPECIAL, BlockSystem, Tower
 
@@ -122,30 +124,15 @@ def construct(tower: Tower) -> ForwardResult:
     flip weight); the sheet maps keep the full correspondence either
     way.  Special towers get their node markers attached.
     """
-    involution = _involution()
-    section_entries: list[tuple[str, Permutation]] = []
-    quotient_entries: list[tuple[str, Permutation]] = []
-    orientation_entries: list[tuple[str, Permutation]] = []
-
-    for label, perm in tower.cover.entries():
-        action = sections_action(perm, tower.blocks)
-        if compose(action, involution) != compose(involution, action):
-            raise AssertionError(f"involution fails to commute with the action at {label!r}")
-        if not action.is_identity():
-            section_entries.append((label, action))
-        induced_quotient = _quotient_action(action)
-        if not induced_quotient.is_identity():
-            quotient_entries.append((label, induced_quotient))
-        induced_orientation = _orientation_action(action)
-        if not induced_orientation.is_identity():
-            orientation_entries.append((label, induced_orientation))
-
+    sections = induced_cover(tower.cover, tuple(itertools.product(*tower.blocks)))
+    # a permutation commutes with the free involution exactly when it maps
+    # its orbits onto orbits, so the quotient raises iff they fail to commute
     result = ForwardResult(
         tower=tower,
-        sections=BranchedCover.from_pairs(SECTION_COUNT, section_entries),
-        involution=involution,
-        quotient=BranchedCover.from_pairs(4, quotient_entries),
-        orientation=BranchedCover.from_pairs(2, orientation_entries),
+        sections=sections,
+        involution=_involution(),
+        quotient=induced_cover(sections, _QUOTIENT_CLASSES),
+        orientation=induced_cover(sections, _PARITY_CLASSES),
         to_quotient=_class_map(_QUOTIENT_CLASSES),
         to_orientation=_class_map(_PARITY_CLASSES),
         nodes=None,

@@ -6,7 +6,9 @@ commuting with it; its three orbits are the pair partitions
 ``{12|34}``, ``{13|24}``, ``{14|23}``, which underlie a degree-3
 cover.  Pairs are indexed lexicographically and partitions by the
 partner of sheet 1, so the complement swaps pair indices 1/6, 2/5,
-3/4 and the partitions are the blocks (1,6), (2,5), (3,4).
+3/4 and the partitions are the blocks (1,6), (2,5), (3,4).  The pairs
+cover and the partition cover are each one ``induced_cover`` call, on
+``PAIRS`` and on those blocks.
 
 A fibre of the tetragonal cover is classified by its cycle type:
 
@@ -40,11 +42,12 @@ from .covers import (
     arithmetic_genus,
     components,
     genus as cover_genus,
+    induced_cover,
     iter_isomorphisms,
     nodal_isomorphism,
 )
 from .forward import component_tetragonal, construct
-from .permutation import Permutation, compose, induced_action
+from .permutation import Permutation, induced_action
 from .report import CheckReport, CheckResult
 from .towers import (
     ETALE,
@@ -158,21 +161,11 @@ def invert(tetragonal: TetragonalCover) -> InverseResult:
     show up as node markers, never as changed permutations.
     """
     source = tetragonal.cover
-    kappa = complement_involution()
-
-    pair_entries: list[tuple[str, Permutation]] = []
-    partition_entries: list[tuple[str, Permutation]] = []
-    for label, perm in source.entries():
-        induced = pairs_action(perm)
-        if compose(induced, kappa) != compose(kappa, induced):
-            raise AssertionError(f"complement fails to commute with the pair action at {label!r}")
-        pair_entries.append((label, induced))  # pair action is faithful, never identity here
-        induced_partition = block_action(induced, PARTITION_BLOCKS)
-        if not induced_partition.is_identity():
-            partition_entries.append((label, induced_partition))
-
-    pairs_cover = BranchedCover.from_pairs(6, pair_entries)
-    trigonal_cover = BranchedCover.from_pairs(3, partition_entries)
+    # a permutation commutes with the complement exactly when it maps its
+    # orbits, the partitions, onto orbits, so the partition cover raises
+    # iff they fail to commute
+    pairs_cover = induced_cover(source, PAIRS)
+    trigonal_cover = induced_cover(pairs_cover, PARTITION_BLOCKS.blocks)
 
     trigonal_nodes: list[tuple[CoverPoint, CoverPoint]] = []
     pairs_nodes: list[tuple[CoverPoint, CoverPoint]] = []
@@ -212,7 +205,7 @@ def invert(tetragonal: TetragonalCover) -> InverseResult:
     return InverseResult(
         source=tetragonal,
         pairs_cover=pairs_cover,
-        complement=kappa,
+        complement=complement_involution(),
         blocks=PARTITION_BLOCKS,
         trigonal_cover=trigonal_cover,
         fiber_types=types,

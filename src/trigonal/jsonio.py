@@ -57,11 +57,26 @@ def cover_from_dict(payload: Mapping) -> BranchedCover:
         points = payload["branch_points"]
     except (KeyError, TypeError) as err:
         raise ValueError(f"cover document needs degree and branch_points: {err}") from None
-    if not isinstance(degree, int):
+    if not isinstance(degree, int) or isinstance(degree, bool):
         raise ValueError(f"degree must be an integer, got {degree!r}")
+    if not isinstance(points, list):
+        raise ValueError(f"branch_points must be a list, got {points!r}")
     entries = []
-    for point in points:
-        entries.append((point["label"], perm_from_cycles(degree, point["monodromy"])))
+    for i, point in enumerate(points):
+        where = f"branch_points[{i}]"
+        if not isinstance(point, Mapping):
+            raise ValueError(f"{where}: expected an object, got {point!r}")
+        for key in ("label", "monodromy"):
+            if key not in point:
+                raise ValueError(f'{where}: missing "{key}"')
+        label, cycles = point["label"], point["monodromy"]
+        if not isinstance(label, str):
+            raise ValueError(f"{where}.label: expected a string, got {label!r}")
+        if not isinstance(cycles, list) or not all(
+            isinstance(c, list) and all(type(s) is int for s in c) for c in cycles
+        ):
+            raise ValueError(f"{where}.monodromy: expected lists of integer sheets, got {cycles!r}")
+        entries.append((label, perm_from_cycles(degree, cycles)))
     return BranchedCover.from_pairs(degree, entries)
 
 

@@ -33,7 +33,6 @@ from .towers import (
     BlockSystem,
     Tower,
     TowerValidationError,
-    block_action,
     validate_tower,
 )
 
@@ -167,10 +166,11 @@ def _etale_lift_options(action: Permutation) -> tuple[tuple[int, int, int], ...]
     every point of the base fibre: zero on fixed blocks, even sum
     around every cycle."""
     options = []
+    cycles = action.cycles(include_fixed=True)
     for bits in range(8):
         v = ((bits >> 2) & 1, (bits >> 1) & 1, bits & 1)
         ok = True
-        for cycle in action.cycles(include_fixed=True):
+        for cycle in cycles:
             total = sum(v[b - 1] for b in cycle)
             if (len(cycle) == 1 and total) or total % 2:
                 ok = False
@@ -235,11 +235,10 @@ def sample_tower(cfg: SampleConfig) -> Tower:
         for action in base[:-1]:
             options = _etale_lift_options(action)
             lifts.append(_lift(action, rng.choice(options), blocks))
+        # the block action is a homomorphism and flips act trivially on
+        # blocks, so the solved lift acts on blocks as base[-1]
         last = _solve_last(lifts, flips, 6)
-        last_action = block_action(last, blocks)  # solved lift is block-preserving by closure
-        if last_action != base[-1]:
-            continue
-        if _lift_vector(last, last_action, blocks) not in _etale_lift_options(last_action):
+        if _lift_vector(last, base[-1], blocks) not in _etale_lift_options(base[-1]):
             continue
         lifts.append(last)
 

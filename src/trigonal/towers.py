@@ -13,8 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .covers import BranchedCover, CoverPoint, genus
-from .permutation import Permutation, induced_action, orbits
+from .covers import BranchedCover, CoverPoint, genus, induced_cover
+from .permutation import Permutation, induced_action
 
 ETALE = "etale"
 GENERAL = "general"
@@ -137,30 +137,27 @@ def validate_tower(cover: BranchedCover, blocks: BlockSystem) -> Tower:
     if cover.degree != 6:
         raise TowerValidationError([f"tower cover must have degree 6, got {cover.degree}"])
 
-    actions: list[tuple[str, Permutation]] = []
     for label, perm in cover.entries():
         try:
-            actions.append((label, block_action(perm, blocks)))
+            block_action(perm, blocks)
         except ValueError as err:
             errors.append(f"monodromy at {label!r} does not preserve the blocks: {err}")
     if errors:
         raise TowerValidationError(errors)
 
+    trigonal = induced_cover(cover, blocks.blocks)
     if not cover.is_connected():
         errors.append("degree-6 cover is disconnected")
-    if len(orbits([a for _, a in actions], 3)) != 1:
+    if not trigonal.is_connected():
         errors.append("block action is intransitive: the trigonal curve is disconnected")
         raise TowerValidationError(errors)
 
-    trigonal = BranchedCover.from_pairs(
-        3, ((label, a) for label, a in actions if not a.is_identity())
-    )
     base_genus = genus(trigonal)
     if base_genus < MIN_GENUS:
         warnings.append(f"trigonal genus {base_genus} is below {MIN_GENUS}; kept for exploration")
 
     flips = flip_points(cover, blocks)
-    trivial_action = {label for label, a in actions if a.is_identity()}
+    trivial_action = set(cover.labels) - set(trigonal.labels)
     for p in flips:
         if p.label not in trivial_action:
             errors.append(

@@ -180,3 +180,29 @@ def test_rejected_input_prints_one_error_line_and_exits_2(tmp_path, capsys):
         assert out == ""
         lines = err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: "), err
+
+
+@pytest.mark.parametrize(
+    "document, message",
+    [
+        ({"degree": 4, "branch_points": [{"monodromy": [[1, 2]]}]}, 'branch_points[0]: missing "label"'),
+        (
+            {"degree": 4, "branch_points": [{"label": "b1", "monodromy": [["1", 2]]}]},
+            "branch_points[0].monodromy",
+        ),
+        ({"degree": 4, "branch_points": 5}, "branch_points must be a list"),
+        ({"degree": True, "branch_points": []}, "degree must be an integer"),
+    ],
+    ids=["missing-label", "string-sheet", "branch-points-not-a-list", "boolean-degree"],
+)
+def test_malformed_cover_document_prints_one_error_line_and_exits_2(
+    tmp_path, capsys, document, message
+):
+    doc = tmp_path / "bad.json"
+    doc.write_text(json.dumps(document))
+    for command in ("invert", "classify"):
+        code, out, err = run(capsys, command, "--in", str(doc))
+        assert code == 2, command
+        assert out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ") and message in lines[0], err

@@ -1,5 +1,7 @@
 """Branched covers: genus bookkeeping, components, points, nodal models,
 and the conjugation-search isomorphism test."""
+import gc
+
 import pytest
 from hypothesis import given
 
@@ -14,11 +16,13 @@ from trigonal import (
     conjugate,
     fiber_points,
     genus,
+    induced_cover,
     label_cycles,
     nodal_isomorphism,
     ramification_profile,
 )
 from trigonal.covers import point_on
+from trigonal.jsonio import cover_from_dict
 
 from conftest import permutations, transitive_covers
 
@@ -100,6 +104,19 @@ def test_components_split_and_restrict():
     assert set(second.labels) == {"a", "d"}
     assert genus(second) == 0
     assert parts[1].to_parent(1) == 3 and parts[1].from_parent(4) == 2
+
+
+def test_induced_cover_numbers_points_and_drops_trivial_labels():
+    swap = Permutation((3, 4, 1, 2))
+    inner = Permutation((2, 1, 3, 4))
+    cover = BranchedCover.from_pairs(
+        4, [("a", swap), ("b", inner), ("c", inner), ("d", swap)]
+    )
+    pairs = induced_cover(cover, ((1, 2), (3, 4)))
+    assert pairs.degree == 2 and pairs.labels == ("a", "d")
+    assert pairs.monodromy == (Permutation((2, 1)), Permutation((2, 1)))
+    with pytest.raises(ValueError, match=r"monodromy at 'b': point \(1, 3\) maps to \(2, 3\)"):
+        induced_cover(cover, ((1, 3), (2, 4)))
 
 
 def test_cover_points_canonicalize_rotation():
@@ -211,3 +228,14 @@ def test_nodal_isomorphism_must_respect_nodes():
         cover, ((point_on(cover, "c", (3,)), point_on(cover, "c", (4,))),)
     )
     assert nodal_isomorphism(model, shifted) is None
+
+
+def test_isomorphism_search_leaves_no_cyclic_garbage(fixture_doc):
+    cover = cover_from_dict(fixture_doc("tetragonal_m0_g2.json"))
+    gc.collect()
+    gc.disable()
+    try:
+        assert are_isomorphic(cover, cover) is not None
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

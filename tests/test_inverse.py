@@ -7,6 +7,7 @@ from trigonal import (
     BranchedCover,
     Permutation,
     TetragonalCover,
+    block_action,
     classify_fiber,
     complement_involution,
     component_tetragonal,
@@ -22,7 +23,7 @@ from trigonal import (
     roundtrip_special,
     validate_tower,
 )
-from trigonal.inverse import as_tower
+from trigonal.inverse import PARTITION_BLOCKS, as_tower
 
 from conftest import CANONICAL_BLOCKS, S4
 from test_towers import ETALE_COVER, SPECIAL_COVER
@@ -53,6 +54,15 @@ def test_pairs_action_commutes_with_complement_on_all_of_s4():
     for p in S4:
         induced = pairs_action(p)
         assert compose(induced, kappa) == compose(kappa, induced)
+
+
+def test_partition_step_rejects_a_permutation_not_commuting_with_the_complement():
+    # partition_action is block_action on the complement's orbits
+    kappa = complement_involution()
+    swap = Permutation.from_cycles(6, [(1, 2)])
+    assert compose(swap, kappa) != compose(kappa, swap)
+    with pytest.raises(ValueError, match="not a point"):
+        block_action(swap, PARTITION_BLOCKS)
 
 
 def test_partition_action_profiles():

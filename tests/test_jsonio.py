@@ -1,6 +1,8 @@
 """Canonical JSON: byte-stable fixtures, full parse/serialize cycles,
 and schema conformance for every published document kind."""
+import importlib.util
 import json
+from pathlib import Path
 
 import jsonschema
 import pytest
@@ -85,6 +87,17 @@ def test_result_fixtures_regenerate_byte_identically(fixture_text, fixture_doc):
     tet = tetragonal_from_dict(fixture_doc("tetragonal_m0_g2.json"))
     regenerated = dumps_canonical(inverse_result_to_dict(invert(tet)))
     assert regenerated == fixture_text("inverse_m0_g2.json")
+
+
+def test_make_fixtures_regenerates_every_fixture_byte_identically(fixture_text):
+    script = Path(__file__).resolve().parent.parent / "scripts" / "make_fixtures.py"
+    spec = importlib.util.spec_from_file_location("make_fixtures", script)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    documents = module.documents()
+    assert sorted(documents) == sorted(ALL_FIXTURES)
+    for name, payload in documents.items():
+        assert dumps_canonical(payload) == fixture_text(name), name
 
 
 def test_batch_fixture_regenerates_byte_identically(fixture_text):
