@@ -14,12 +14,7 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from .forward import component_tetragonal, construct, verify_predictions
-from .inverse import (
-    STRATUM_M1,
-    TetragonalCover,
-    roundtrip_etale,
-    roundtrip_special,
-)
+from .inverse import STRATUM_M1, TetragonalCover, roundtrip, roundtrip_etale
 from .report import CheckReport, CheckResult
 from .sampling import (
     SAMPLE_M0,
@@ -63,7 +58,7 @@ def _special_props(cfg: SampleConfig) -> CheckReport:
 
 
 def _special_roundtrip(cfg: SampleConfig) -> CheckReport:
-    return roundtrip_special(sample_tower(cfg))
+    return roundtrip(sample_tower(cfg))
 
 
 def _m0_roundtrip(cfg: SampleConfig) -> CheckReport:

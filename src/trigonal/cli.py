@@ -20,7 +20,7 @@ from pathlib import Path
 from .batch import SUITES, run_batch, spread_configs
 from .coefficients import chain_report
 from .forward import construct, verify_predictions
-from .inverse import invert, roundtrip_etale, roundtrip_special
+from .inverse import invert, roundtrip, roundtrip_etale
 from .jsonio import (
     batch_report_to_dict,
     chain_rows_to_dict,
@@ -182,7 +182,10 @@ def _cmd_roundtrip(args) -> int:
     if args.infile:
         document = _read_json(args.infile)
         if args.mode == SPECIAL:
-            report = roundtrip_special(tower_from_dict(document))
+            tower = tower_from_dict(document)
+            if tower.mode != args.mode:
+                raise ValueError(f"round trip needs a {args.mode} tower, mode is {tower.mode!r}")
+            report = roundtrip(tower)
         else:
             report = roundtrip_etale(tetragonal_from_dict(document))
     else:
@@ -192,7 +195,7 @@ def _cmd_roundtrip(args) -> int:
             seed=args.seed,
         )
         if args.mode == SPECIAL:
-            report = roundtrip_special(sample_tower(cfg))
+            report = roundtrip(sample_tower(cfg))
         else:
             report = roundtrip_etale(sample_tetragonal(cfg))
     _note_elapsed(started)

@@ -264,12 +264,15 @@ def are_isomorphic(first: BranchedCover, second: BranchedCover) -> Permutation |
     return next(iter_isomorphisms(first, second), None)
 
 
-def nodal_isomorphism(first: NodalCoverModel, second: NodalCoverModel) -> Permutation | None:
-    """An isomorphism of normalizations carrying the node markers of the
-    first model onto those of the second, if one exists."""
+def nodal_isomorphisms(first: NodalCoverModel, second: NodalCoverModel) -> Iterator[Permutation]:
+    """All isomorphisms of normalizations carrying the node markers of
+    the first model onto those of the second."""
     want = second.node_set()
     for rho in iter_isomorphisms(first.normalization, second.normalization):
-        image = frozenset(frozenset(p.mapped(rho) for p in pair) for pair in first.nodes)
-        if image == want:
-            return rho
-    return None
+        if frozenset(frozenset(p.mapped(rho) for p in pair) for pair in first.nodes) == want:
+            yield rho
+
+
+def nodal_isomorphism(first: NodalCoverModel, second: NodalCoverModel) -> Permutation | None:
+    """A node-preserving isomorphism if one exists, else ``None``."""
+    return next(nodal_isomorphisms(first, second), None)

@@ -27,6 +27,11 @@ A fibre of the tetragonal cover is classified by its cycle type:
 
 Node markers stay side-band data on the normalizations, which is what
 lets the smooth machinery keep running underneath.
+
+One ``roundtrip`` serves towers of every mode: it inverts a tower's
+tetragonal quotient and compares the result with ``expected_inverse``,
+the tower twisted by its orientation cover and glued over its flip
+labels (Donagi, "The fibers of the Prym map", 1992).
 """
 from __future__ import annotations
 
@@ -43,19 +48,19 @@ from .covers import (
     components,
     genus as cover_genus,
     induced_cover,
-    iter_isomorphisms,
     nodal_isomorphism,
+    nodal_isomorphisms,
 )
-from .forward import component_tetragonal, construct
-from .permutation import Permutation, induced_action
+from .forward import construct
+from .permutation import Permutation, compose, induced_action
 from .report import CheckReport, CheckResult
 from .towers import (
     ETALE,
-    SPECIAL,
     BlockSystem,
     Tower,
     TowerValidationError,
     block_action,
+    flip_points,
     validate_tower,
 )
 
@@ -214,56 +219,52 @@ def invert(tetragonal: TetragonalCover) -> InverseResult:
     )
 
 
-def as_tower(result: InverseResult) -> Tower:
-    """Re-validate an inverse image as a smooth tower.
-
-    Meaningful when the result carries no nodes (the source lay in the
-    ``m0`` stratum); otherwise validation reports the degeneracies.
-    """
-    return validate_tower(result.pairs_cover, result.blocks)
-
-
 @dataclass(frozen=True)
 class GluedTower:
-    """A Special tower with the two flipped points glued on each level."""
+    """A tower with the points over its flip labels glued on each level."""
 
     trigonal_model: NodalCoverModel
     double_model: NodalCoverModel
     blocks: BlockSystem
 
 
-def glue_special(tower: Tower) -> GluedTower:
-    """Glue the two flipped points of a Special tower into nodes.
+def expected_inverse(tower: Tower) -> GluedTower:
+    """The nodal tower that ``invert`` returns for the tetragonal
+    quotient of ``tower``, in every mode.
 
-    Downstairs the two flipped blocks over the flip label are glued;
-    upstairs the two in-block 2-cycles above them are glued.  The glued
-    trigonal curve has arithmetic genus one more than the tower's, the
-    glued top curve one more than twice the tower's minus one.
+    The top curve is the tower twisted by its orientation cover O: the
+    entry at each label of odd flip weight, where O is branched, is
+    multiplied by the central element swapping the sheets of every
+    block.  The pullback of O to the trigonal curve is branched at all
+    three points over such a label, so the twisted entry flips the two
+    blocks the tower does not.  Over each flip label the twisted entry
+    thus flips exactly two blocks; they are glued downstairs, and their
+    in-block 2-cycles, which are the blocks themselves, upstairs.  The
+    twist is trivial for etale and special towers.
     """
-    if tower.mode != SPECIAL:
-        raise ValueError(f"gluing is defined for special towers, mode is {tower.mode!r}")
-    label = tower.flips[0].label
-    first_block, second_block = sorted(p.cycle[0] for p in tower.flips)
-    perm = tower.cover.perm_at(label)
-    trigonal_model = NodalCoverModel(
-        tower.trigonal,
-        ((CoverPoint(label, (first_block,)), CoverPoint(label, (second_block,))),),
-    )
-    double_model = NodalCoverModel(
-        tower.cover,
+    tau = Permutation.from_cycles(6, tower.blocks)
+    weights = [p.label for p in tower.flips]
+    twisted = BranchedCover.from_pairs(
+        6,
         (
-            (
-                CoverPoint(label, perm.cycle_through(tower.blocks[first_block - 1][0])),
-                CoverPoint(label, perm.cycle_through(tower.blocks[second_block - 1][0])),
-            ),
+            (label, compose(perm, tau) if weights.count(label) % 2 else perm)
+            for label, perm in tower.cover.entries()
         ),
     )
-    glued = GluedTower(trigonal_model, double_model, tower.blocks)
-    if arithmetic_genus(trigonal_model) != tower.genus + 1:
+    # flip points come label by label, two per flip label
+    flips = flip_points(twisted, tower.blocks)
+    trigonal_nodes = tuple(zip(flips[::2], flips[1::2]))
+    double_nodes = tuple(
+        tuple(CoverPoint(p.label, tower.blocks[p.cycle[0] - 1]) for p in pair) for pair in trigonal_nodes
+    )
+    trigonal_model = NodalCoverModel(tower.trigonal, trigonal_nodes)
+    double_model = NodalCoverModel(twisted, double_nodes)
+    pa = arithmetic_genus(trigonal_model)
+    if pa != tower.genus + len(tower.flip_labels()):
         raise AssertionError("glued trigonal curve has the wrong arithmetic genus")
-    if arithmetic_genus(double_model) != 2 * tower.genus + 1:
+    if arithmetic_genus(double_model) != 2 * pa - 1:
         raise AssertionError("glued top curve has the wrong arithmetic genus")
-    return glued
+    return GluedTower(trigonal_model, double_model, tower.blocks)
 
 
 def _blocks_correspond(rho: Permutation, source: BlockSystem, target: BlockSystem) -> bool:
@@ -291,15 +292,10 @@ def match_glued(result: InverseResult, glued: GluedTower) -> CheckReport:
         checks.append(CheckResult("trigonal-curves-match", False, str(err)))
 
     try:
-        found = False
-        want = glued.double_model.node_set()
-        for rho in iter_isomorphisms(result.pairs_model.normalization, glued.double_model.normalization):
-            image = frozenset(
-                frozenset(p.mapped(rho) for p in pair) for pair in result.pairs_model.nodes
-            )
-            if image == want and _blocks_correspond(rho, result.blocks, glued.blocks):
-                found = True
-                break
+        found = any(
+            _blocks_correspond(rho, result.blocks, glued.blocks)
+            for rho in nodal_isomorphisms(result.pairs_model, glued.double_model)
+        )
         checks.append(
             CheckResult(
                 "double-covers-match",
@@ -313,35 +309,34 @@ def match_glued(result: InverseResult, glued: GluedTower) -> CheckReport:
     return CheckReport("glued-comparison", tuple(checks))
 
 
-def roundtrip_special(tower: Tower) -> CheckReport:
-    """Special round trip: forward, take a component, invert, compare
-    with the directly glued tower."""
-    if tower.mode != SPECIAL:
-        raise ValueError(f"round trip needs a special tower, mode is {tower.mode!r}")
+def roundtrip(tower: Tower) -> CheckReport:
+    """Tower round trip in every mode: forward, invert the tetragonal
+    quotient, compare with ``expected_inverse``."""
+    title = f"roundtrip-{tower.mode}"
+    flips = len(tower.flip_labels())
     checks: list[CheckResult] = []
     try:
-        tetragonal = TetragonalCover(component_tetragonal(construct(tower)))
+        tetragonal = TetragonalCover(construct(tower).quotient)
     except (ValueError, AssertionError) as err:
         checks.append(CheckResult("component-extraction", False, str(err)))
-        return CheckReport("roundtrip-special", tuple(checks))
+        return CheckReport(title, tuple(checks))
     checks.append(CheckResult("component-extraction", True))
     checks.append(
         CheckResult(
             "component-stratum",
-            tetragonal.stratum == STRATUM_M1,
+            tetragonal.stratum == (STRATUM_M0, STRATUM_M1, STRATUM_M2)[flips],
             f"stratum {tetragonal.stratum!r}",
         )
     )
     checks.append(
         CheckResult(
             "component-genus",
-            tetragonal.genus == tower.genus,
-            f"genus {tetragonal.genus}, expected {tower.genus}",
+            tetragonal.genus == tower.genus - 1 + flips,
+            f"genus {tetragonal.genus}, expected {tower.genus - 1 + flips}",
         )
     )
-    comparison = match_glued(invert(tetragonal), glue_special(tower))
-    checks.extend(comparison.checks)
-    return CheckReport("roundtrip-special", tuple(checks))
+    checks.extend(match_glued(invert(tetragonal), expected_inverse(tower)).checks)
+    return CheckReport(title, tuple(checks))
 
 
 def roundtrip_etale(tetragonal: TetragonalCover) -> CheckReport:
@@ -355,7 +350,7 @@ def roundtrip_etale(tetragonal: TetragonalCover) -> CheckReport:
     checks: list[CheckResult] = []
     inverse = invert(tetragonal)
     try:
-        tower = as_tower(inverse)
+        tower = validate_tower(inverse.pairs_cover, inverse.blocks)
         checks.append(CheckResult("inverse-validates", True))
     except TowerValidationError as err:
         checks.append(CheckResult("inverse-validates", False, str(err)))

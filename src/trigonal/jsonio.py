@@ -92,8 +92,14 @@ def tower_from_dict(payload: Mapping) -> Tower:
     cover = cover_from_dict(payload)
     if "blocks" not in payload:
         raise ValueError("tower document needs a blocks field")
-    blocks = BlockSystem.from_pairs(payload["blocks"])
-    return validate_tower(cover, blocks)
+    blocks = payload["blocks"]
+    if not isinstance(blocks, list) or not all(isinstance(b, list) for b in blocks):
+        raise ValueError(f"blocks: expected a list of sheet pairs, got {blocks!r}")
+    for i, block in enumerate(blocks):
+        for j, sheet in enumerate(block):
+            if type(sheet) is not int:
+                raise ValueError(f"blocks[{i}][{j}]: expected an integer sheet, got {sheet!r}")
+    return validate_tower(cover, BlockSystem.from_pairs(blocks))
 
 
 def tetragonal_from_dict(payload: Mapping) -> TetragonalCover:
@@ -120,13 +126,6 @@ def nodes_to_list(model: NodalCoverModel) -> list:
         [point_to_ref(model.normalization, a), point_to_ref(model.normalization, b)]
         for a, b in model.nodes
     ]
-
-
-def model_from_parts(cover: BranchedCover, node_refs: Sequence) -> NodalCoverModel:
-    nodes = tuple(
-        (point_from_ref(cover, a), point_from_ref(cover, b)) for a, b in node_refs
-    )
-    return NodalCoverModel(cover, nodes)
 
 
 # -- construction results ----------------------------------------------------

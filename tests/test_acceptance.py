@@ -11,7 +11,9 @@ from trigonal import (
     TetragonalCover,
     classify_fiber,
     invert,
+    roundtrip,
     run_batch,
+    sample_tower,
     sections_action,
     spread_configs,
 )
@@ -278,3 +280,26 @@ def test_criterion_7_determinism_and_formats(capsys):
     announce(capsys, 7, ok, "fixtures byte-stable, batch reports identical across thread counts")
     assert stable
     assert deterministic
+
+
+def test_tower_roundtrip_general_and_etale():
+    # the special mode runs through the special-roundtrip suite (criterion 3)
+    started = time.perf_counter()
+    configs = spread_configs("general-props", 100, 202, 3, 8) + spread_configs(
+        "etale-forward", 100, 404, 3, 8
+    )
+    reports = [roundtrip(sample_tower(cfg)) for cfg in configs]
+    elapsed = time.perf_counter() - started
+
+    names = [
+        "component-extraction",
+        "component-stratum",
+        "component-genus",
+        "trigonal-curves-match",
+        "double-covers-match",
+    ]
+    assert [r.title for r in reports] == ["roundtrip-general"] * 100 + ["roundtrip-etale"] * 100
+    for cfg, report in zip(configs, reports):
+        assert report.passed, (cfg, report.failures())
+        assert [c.name for c in report.checks] == names
+    assert elapsed < RUNTIME_BUDGET

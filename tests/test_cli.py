@@ -206,3 +206,38 @@ def test_malformed_cover_document_prints_one_error_line_and_exits_2(
         assert out == ""
         lines = err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: ") and message in lines[0], err
+
+
+@pytest.mark.parametrize(
+    "blocks, message",
+    [
+        (5, "blocks: expected a list of sheet pairs"),
+        ([[1, 2], [3, 4], [5, "6"]], "blocks[2][1]: expected an integer sheet"),
+        ([[True, 2], [3, 4], [5, 6]], "blocks[0][0]: expected an integer sheet"),
+    ],
+    ids=["blocks-not-a-list", "string-sheet", "boolean-sheet"],
+)
+@pytest.mark.parametrize(
+    "command, code, prefix",
+    [("construct", 2, "error: "), ("validate", 1, "invalid: ")],
+    ids=["construct", "validate"],
+)
+def test_malformed_blocks_print_one_line(tmp_path, capsys, blocks, message, command, code, prefix):
+    document = json.loads((FIXTURES / "tower_special_g3.json").read_text())
+    document["blocks"] = blocks
+    doc = tmp_path / "bad.json"
+    doc.write_text(json.dumps(document))
+    status, out, err = run(capsys, command, "--in", str(doc))
+    assert status == code
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(prefix) and message in lines[0], err
+
+
+def test_roundtrip_rejects_a_tower_of_another_mode(capsys):
+    code, out, err = run(
+        capsys, "roundtrip", "--mode", "special", "--in", str(FIXTURES / "tower_general_g3.json"),
+    )
+    assert code == 2
+    assert out == ""
+    assert err == "error: round trip needs a special tower, mode is 'general'\n"

@@ -1,32 +1,37 @@
 """Pairs construction: the six-pairs cover, complement involution,
 partition quotient, fibre classification and the node rules."""
+import dataclasses
+
 import pytest
 
 from trigonal import (
     PAIRS,
     BranchedCover,
+    NodalCoverModel,
     Permutation,
     TetragonalCover,
+    are_isomorphic,
     block_action,
     classify_fiber,
     complement_involution,
     component_tetragonal,
     compose,
     construct,
+    expected_inverse,
+    flip_points,
     genus,
-    glue_special,
     invert,
     match_glued,
     pairs_action,
     partition_action,
+    roundtrip,
     roundtrip_etale,
-    roundtrip_special,
     validate_tower,
 )
-from trigonal.inverse import PARTITION_BLOCKS, as_tower
+from trigonal.inverse import PARTITION_BLOCKS
 
 from conftest import CANONICAL_BLOCKS, S4
-from test_towers import ETALE_COVER, SPECIAL_COVER
+from test_towers import ETALE_COVER, GENERAL_COVER, SPECIAL_COVER
 
 
 def test_pairs_enumerate_lexicographically():
@@ -118,7 +123,7 @@ def test_invert_m0_gives_an_etale_tower():
     inverse = invert(tet)
     assert inverse.trigonal_model.nodes == ()
     assert inverse.pairs_model.nodes == ()
-    tower = as_tower(inverse)
+    tower = validate_tower(inverse.pairs_cover, inverse.blocks)
     assert tower.mode == "etale"
     assert tower.genus == 3  # gamma + 1
 
@@ -165,9 +170,9 @@ def test_invert_quadruple_label_uses_the_type_five_rule():
             assert sorted((a.ramification_index, b.ramification_index)) == [2, 4]
 
 
-def test_glue_special_matches_inverse_of_component():
+def test_expected_inverse_matches_inverse_of_component():
     special = validate_tower(SPECIAL_COVER, CANONICAL_BLOCKS)
-    glued = glue_special(special)
+    glued = expected_inverse(special)
     assert len(glued.trigonal_model.nodes) == 1
     assert len(glued.double_model.nodes) == 1
     inverse = invert(TetragonalCover(component_tetragonal(construct(special))))
@@ -177,7 +182,7 @@ def test_glue_special_matches_inverse_of_component():
 
 def test_match_glued_fails_cleanly_on_relabeled_input():
     special = validate_tower(SPECIAL_COVER, CANONICAL_BLOCKS)
-    glued = glue_special(special)
+    glued = expected_inverse(special)
     tet = component_tetragonal(construct(special))
     renamed = BranchedCover.from_pairs(
         4, [(f"x{label}", perm) for label, perm in tet.entries()]
@@ -188,8 +193,32 @@ def test_match_glued_fails_cleanly_on_relabeled_input():
 
 
 def test_roundtrip_special_fixture():
-    report = roundtrip_special(validate_tower(SPECIAL_COVER, CANONICAL_BLOCKS))
+    report = roundtrip(validate_tower(SPECIAL_COVER, CANONICAL_BLOCKS))
     assert report.passed, report.failures()
+
+
+def test_twist_flips_the_other_two_blocks_of_a_general_tower():
+    general = validate_tower(GENERAL_COVER, CANONICAL_BLOCKS)
+    twisted = expected_inverse(general).double_model.normalization
+    assert len(general.flips) == 2
+    assert len(flip_points(twisted, general.blocks)) == 4
+    special = validate_tower(SPECIAL_COVER, CANONICAL_BLOCKS)
+    assert expected_inverse(special).double_model.normalization == special.cover
+
+
+def test_untwisted_general_tower_fails_the_double_cover_match():
+    general = validate_tower(GENERAL_COVER, CANONICAL_BLOCKS)
+    inverse = invert(TetragonalCover(construct(general).quotient))
+    expected = expected_inverse(general)
+    assert match_glued(inverse, expected).passed
+    # the untwisted top curve has no in-block 2-cycles over the unflipped
+    # blocks, so there is nothing to glue upstairs
+    untwisted = dataclasses.replace(expected, double_model=NodalCoverModel(general.cover))
+    report = match_glued(inverse, untwisted)
+    assert [c.name for c in report.checks if c.passed] == ["trigonal-curves-match"]
+    assert [c.name for c in report.failures()] == ["double-covers-match"]
+    # the normalizations already differ, whatever the nodes
+    assert are_isomorphic(inverse.pairs_cover, general.cover) is None
 
 
 def test_roundtrip_etale_fixture():
