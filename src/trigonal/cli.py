@@ -5,9 +5,10 @@ for single documents, sample for generating instances, roundtrip and
 batch for verification runs, verify-coefficients for the exact
 identity table.  Exit status is 0 only when everything asked for
 passed, 1 when a check failed, and 2 when an argument or input
-document is rejected; a rejection prints one ``error:`` line on
-stderr.  Documents go to --out (or stdout); wall-clock timing goes to
-stderr so captured output stays canonical.
+document is rejected or a file cannot be read or written; a rejection
+prints one ``error:`` line on stderr.  Documents go to --out (or
+stdout); wall-clock timing goes to stderr so captured output stays
+canonical.
 """
 from __future__ import annotations
 
@@ -26,6 +27,7 @@ from .jsonio import (
     chain_rows_to_dict,
     check_report_to_dict,
     cover_to_dict,
+    cover_with_blocks_to_dict,
     dumps_canonical,
     forward_result_to_dict,
     inverse_result_to_dict,
@@ -138,8 +140,7 @@ def _cmd_invert(args) -> int:
     result = invert(tetragonal)
     _emit(dumps_canonical(inverse_result_to_dict(result)), args.out)
     if args.tower_out:
-        payload = cover_to_dict(result.pairs_cover)
-        payload["blocks"] = [list(b) for b in result.blocks]
+        payload = cover_with_blocks_to_dict(result.pairs_cover, result.blocks)
         _emit(dumps_canonical(payload), args.tower_out)
     _note_elapsed(started)
     return 0
@@ -314,7 +315,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ValueError as err:
+    except (ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
 

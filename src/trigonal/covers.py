@@ -13,7 +13,8 @@ Nodes are never encoded into the permutations themselves.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
 from .permutation import Permutation, induced_action, orbits, product
@@ -60,8 +61,14 @@ class BranchedCover:
     def total_ramification(self) -> int:
         return sum(self.degree - len(p.cycles(include_fixed=True)) for p in self.monodromy)
 
+    @cached_property
+    def orbits(self) -> tuple[tuple[int, ...], ...]:
+        """Orbits of the monodromy group on the sheets, computed once per
+        cover; not a field, so equality and hashing ignore it."""
+        return orbits(self.monodromy, self.degree)
+
     def is_connected(self) -> bool:
-        return len(orbits(self.monodromy, self.degree)) == 1
+        return len(self.orbits) == 1
 
 
 @dataclass(frozen=True)
@@ -166,7 +173,7 @@ def components(cover: BranchedCover) -> tuple[Component, ...]:
     """Connected components, ordered by their smallest parent sheet."""
     return tuple(
         Component(induced_cover(cover, tuple((s,) for s in orbit)), orbit)
-        for orbit in orbits(cover.monodromy, cover.degree)
+        for orbit in cover.orbits
     )
 
 

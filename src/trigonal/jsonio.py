@@ -82,10 +82,16 @@ def cover_from_dict(payload: Mapping) -> BranchedCover:
 
 # -- towers ------------------------------------------------------------------
 
-def tower_to_dict(tower: Tower) -> dict:
-    payload = cover_to_dict(tower.cover)
-    payload["blocks"] = [list(b) for b in tower.blocks]
+def cover_with_blocks_to_dict(cover: BranchedCover, blocks: BlockSystem) -> dict:
+    """The tower document of ``cover`` and ``blocks``, written without
+    validating them as a tower."""
+    payload = cover_to_dict(cover)
+    payload["blocks"] = [list(b) for b in blocks]
     return payload
+
+
+def tower_to_dict(tower: Tower) -> dict:
+    return cover_with_blocks_to_dict(tower.cover, tower.blocks)
 
 
 def tower_from_dict(payload: Mapping) -> Tower:

@@ -6,12 +6,25 @@ everywhere in this package: ``compose(p, q)`` applies ``p`` first, then
 acts with the leftmost factor first, and the product-one relation for a
 branched cover reads "composing the entries in branch-point order gives
 the identity".
+
+The groups acting here are tiny (S3, S4, the 48-element block group in
+S6 and its image in S8), so the kernel is memoized on image tuples:
+``compose`` on the pair ``(p.images, q.images)``, ``cycles`` on
+``(images, include_fixed)``, ``is_identity`` on ``images`` and
+``induced_action`` on ``(perm, points)``.  Each memo is an
+``lru_cache`` bounded at ``MEMO_SIZE`` entries, and a call that raises
+is not stored.  A result is still built through ``Permutation``, so
+validation runs on every cache miss; a hit returns the permutation
+validated when it was first built.  Images must be of type ``int``, so
+equal-but-not-int tuples such as ``(2.0, 1.0)`` never share an entry.
 """
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
 from typing import Iterable, Sequence
+
+MEMO_SIZE = 4096
 
 
 @dataclass(frozen=True)
@@ -27,6 +40,8 @@ class Permutation:
         n = len(self.images)
         if n == 0:
             raise ValueError("permutation needs degree at least 1")
+        if any(type(img) is not int for img in self.images):
+            raise ValueError(f"images must be integers: {self.images!r}")
         if sorted(self.images) != list(range(1, n + 1)):
             raise ValueError(f"not a bijection of 1..{n}: {self.images!r}")
         if not isinstance(self.images, tuple):
@@ -62,7 +77,7 @@ class Permutation:
         return self.images[sheet - 1]
 
     def is_identity(self) -> bool:
-        return all(img == i + 1 for i, img in enumerate(self.images))
+        return _is_identity(self.images)
 
     def inverse(self) -> "Permutation":
         images = [0] * self.degree
@@ -73,21 +88,7 @@ class Permutation:
     def cycles(self, include_fixed: bool = False) -> tuple[tuple[int, ...], ...]:
         """Cycle decomposition, each cycle starting at its smallest sheet,
         cycles ordered by smallest sheet."""
-        seen: set[int] = set()
-        out: list[tuple[int, ...]] = []
-        for start in range(1, self.degree + 1):
-            if start in seen:
-                continue
-            cycle = [start]
-            seen.add(start)
-            nxt = self(start)
-            while nxt != start:
-                cycle.append(nxt)
-                seen.add(nxt)
-                nxt = self(nxt)
-            if len(cycle) > 1 or include_fixed:
-                out.append(tuple(cycle))
-        return tuple(out)
+        return _cycles(self.images, include_fixed)
 
     def cycle_through(self, sheet: int) -> tuple[int, ...]:
         """The cycle containing ``sheet``, rotated to start at its minimum."""
@@ -111,11 +112,40 @@ class Permutation:
         return "".join("(" + " ".join(map(str, c)) + ")" for c in cycles)
 
 
+@functools.lru_cache(maxsize=MEMO_SIZE)
+def _is_identity(images: tuple[int, ...]) -> bool:
+    return all(img == i + 1 for i, img in enumerate(images))
+
+
+@functools.lru_cache(maxsize=MEMO_SIZE)
+def _cycles(images: tuple[int, ...], include_fixed: bool) -> tuple[tuple[int, ...], ...]:
+    seen: set[int] = set()
+    out: list[tuple[int, ...]] = []
+    for start in range(1, len(images) + 1):
+        if start in seen:
+            continue
+        cycle = [start]
+        seen.add(start)
+        nxt = images[start - 1]
+        while nxt != start:
+            cycle.append(nxt)
+            seen.add(nxt)
+            nxt = images[nxt - 1]
+        if len(cycle) > 1 or include_fixed:
+            out.append(tuple(cycle))
+    return tuple(out)
+
+
+@functools.lru_cache(maxsize=MEMO_SIZE)
+def _compose(a: tuple[int, ...], b: tuple[int, ...]) -> Permutation:
+    if len(a) != len(b):
+        raise ValueError(f"degree mismatch: {len(a)} vs {len(b)}")
+    return Permutation(tuple(b[i - 1] for i in a))
+
+
 def compose(p: Permutation, q: Permutation) -> Permutation:
-    """Apply ``p`` first, then ``q``."""
-    if p.degree != q.degree:
-        raise ValueError(f"degree mismatch: {p.degree} vs {q.degree}")
-    return Permutation(tuple(q(p(i)) for i in range(1, p.degree + 1)))
+    """Apply ``p`` first, then ``q``; memoized on ``(p.images, q.images)``."""
+    return _compose(p.images, q.images)
 
 
 def product(perms: Sequence[Permutation], degree: int | None = None) -> Permutation:
@@ -135,7 +165,7 @@ def conjugate(p: Permutation, rho: Permutation) -> Permutation:
     return compose(compose(rho.inverse(), p), rho)
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=MEMO_SIZE)
 def induced_action(perm: Permutation, points: tuple[tuple[int, ...], ...]) -> Permutation:
     """The permutation ``perm`` induces on ``points``, an ordered tuple of
     sheet sets numbered from 1.
@@ -162,9 +192,12 @@ def induced_action(perm: Permutation, points: tuple[tuple[int, ...], ...]) -> Pe
 def orbits(perms: Sequence[Permutation], degree: int | None = None) -> tuple[tuple[int, ...], ...]:
     """Orbits of the group generated by ``perms`` on the sheets.
 
-    Union-find over ``1..degree``; returns sorted tuples ordered by their
-    smallest element.  ``degree`` is required when ``perms`` is empty.
+    Union-find over ``1..degree`` run once per distinct generator, since
+    repeated or reordered generators generate the same group; returns
+    sorted tuples ordered by their smallest element.  ``degree`` is
+    required when ``perms`` is empty.
     """
+    perms = tuple(dict.fromkeys(perms))
     if perms:
         n = perms[0].degree
         if any(p.degree != n for p in perms):
@@ -185,8 +218,8 @@ def orbits(perms: Sequence[Permutation], degree: int | None = None) -> tuple[tup
         return x
 
     for p in perms:
-        for i in range(1, n + 1):
-            a, b = find(i), find(p(i))
+        for i, image in enumerate(p.images, start=1):
+            a, b = find(i), find(image)
             if a != b:
                 parent[a] = b
 

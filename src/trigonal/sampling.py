@@ -20,12 +20,13 @@ Tower drawing order, fixed for reproducibility:
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Sequence
 
 from .covers import BranchedCover
 from .inverse import STRATUM_M0, TetragonalCover, classify_fiber
-from .permutation import Permutation, compose, orbits, product
+from .permutation import MEMO_SIZE, Permutation, compose, orbits, product
 from .towers import (
     GENERAL,
     MODES,
@@ -161,6 +162,7 @@ def _draw_base(rng: SplitMix64, cfg: SampleConfig, degree: int) -> list[Permutat
     return drawn
 
 
+@functools.lru_cache(maxsize=MEMO_SIZE)
 def _etale_lift_options(action: Permutation) -> tuple[tuple[int, int, int], ...]:
     """Lift vectors that keep the in-block double cover unramified over
     every point of the base fibre: zero on fixed blocks, even sum
@@ -180,6 +182,7 @@ def _etale_lift_options(action: Permutation) -> tuple[tuple[int, int, int], ...]
     return tuple(options)
 
 
+@functools.lru_cache(maxsize=MEMO_SIZE)
 def _lift(action: Permutation, v: tuple[int, int, int], blocks: BlockSystem) -> Permutation:
     images = [0] * 6
     for j in range(3):

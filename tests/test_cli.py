@@ -69,6 +69,21 @@ def test_invert_then_validate_chain(tmp_path, capsys):
     assert payload["mode"] == "etale" and payload["genus"] == 3
 
 
+def test_tower_out_bytes_are_the_inverse_fixture_pairs_cover_and_blocks(tmp_path, capsys):
+    tower = tmp_path / "tower.json"
+    code, _, _ = run(
+        capsys,
+        "invert",
+        "--in", str(FIXTURES / "tetragonal_m0_g2.json"),
+        "--out", str(tmp_path / "inverse.json"),
+        "--tower-out", str(tower),
+    )
+    assert code == 0
+    inverse = json.loads((FIXTURES / "inverse_m0_g2.json").read_text())
+    expected = dict(inverse["pairs_cover"], blocks=inverse["blocks"])
+    assert tower.read_text() == json.dumps(expected, indent=2, sort_keys=True) + "\n"
+
+
 def test_classify(capsys):
     code, out, _ = run(capsys, "classify", "--in", str(FIXTURES / "tetragonal_m0_g2.json"))
     assert code == 0
@@ -232,6 +247,24 @@ def test_malformed_blocks_print_one_line(tmp_path, capsys, blocks, message, comm
     assert out == ""
     lines = err.splitlines()
     assert len(lines) == 1 and lines[0].startswith(prefix) and message in lines[0], err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("validate", "--in", "{missing}"),
+        ("construct", "--in", "{missing}"),
+        ("sample", "--mode", "etale", "--genus", "3", "--out", "{missing_dir}"),
+    ],
+    ids=["validate-in", "construct-in", "sample-out"],
+)
+def test_unreadable_input_and_unwritable_output_print_one_error_line(tmp_path, capsys, argv):
+    paths = {"missing": tmp_path / "missing.json", "missing_dir": tmp_path / "missing" / "x.json"}
+    code, out, err = run(capsys, *(arg.format(**paths) for arg in argv))
+    assert code == 2
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and "No such file" in lines[0], err
 
 
 def test_roundtrip_rejects_a_tower_of_another_mode(capsys):

@@ -46,6 +46,17 @@ def test_cover_validation():
         BranchedCover.from_pairs(2, [("a", flip), ("b", flip), ("c", flip)])  # product
 
 
+def test_cached_orbits_leave_equality_and_hashing_alone():
+    flip, shift = Permutation((2, 1, 3, 4)), Permutation((1, 2, 4, 3))
+    entries = [("a", flip), ("b", shift), ("c", shift), ("d", flip)]
+    first, second = BranchedCover.from_pairs(4, entries), BranchedCover.from_pairs(4, entries)
+    assert first.orbits == ((1, 2), (3, 4))
+    assert not first.is_connected()
+    assert "orbits" not in vars(second)
+    assert first == second and hash(first) == hash(second)
+    assert [c.sheets for c in components(first)] == [(1, 2), (3, 4)]
+
+
 def test_hyperelliptic_genus():
     # 2g+2 simple branch points on a double cover give genus g
     for g in range(0, 5):

@@ -1,3 +1,6 @@
+import itertools
+import random
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -13,7 +16,10 @@ from trigonal import (
     product,
     sections_action,
 )
+from trigonal import sampling
+from trigonal.batch import SUITES, run_batch, spread_configs
 from trigonal.forward import _orientation_action, _quotient_action
+from trigonal.permutation import MEMO_SIZE, _compose, _cycles, _is_identity
 
 from conftest import BLOCK_GROUP, CANONICAL_BLOCKS, S4, permutations
 
@@ -32,6 +38,13 @@ def test_rejects_non_bijections():
         Permutation((0, 1, 2))
     with pytest.raises(ValueError):
         Permutation(())
+
+
+@pytest.mark.parametrize("images", [(2.0, 1.0), (True, 2), (1, 2.0, 3), ("1",)])
+def test_rejects_images_that_are_not_ints(images):
+    # equal-but-not-int tuples would share memo entries with int ones
+    with pytest.raises(ValueError, match="images must be integers"):
+        Permutation(images)
 
 
 def test_from_cycles():
@@ -156,3 +169,79 @@ def test_induced_action_memo_is_bounded_by_the_group_orders():
     # blocks, transversals, involution classes and parity classes; S4 on
     # pairs and, through its image in S6, on the pair partitions
     assert induced_action.cache_info().currsize == 4 * len(BLOCK_GROUP) + 2 * len(S4)
+
+
+MEMOS = (
+    _compose,
+    _cycles,
+    _is_identity,
+    induced_action,
+    sampling._etale_lift_options,
+    sampling._lift,
+)
+S6 = tuple(map(Permutation, itertools.permutations(range(1, 7))))
+
+
+def _reference_cycles(images, include_fixed):
+    seen, out = set(), []
+    for start in range(1, len(images) + 1):
+        if start not in seen:
+            cycle, x = [], start
+            while x not in seen:
+                seen.add(x)
+                cycle.append(x)
+                x = images[x - 1]
+            if len(cycle) > 1 or include_fixed:
+                out.append(tuple(cycle))
+    return tuple(out)
+
+
+@pytest.mark.parametrize("group", [BLOCK_GROUP, S4], ids=["block-group", "S4"])
+def test_memoized_compose_matches_the_tuple_formula_on_the_whole_group(group):
+    for _ in range(2):  # the second pass reads the memo
+        for p, q in itertools.product(group, repeat=2):
+            r = compose(p, q)
+            assert type(r) is Permutation
+            assert r.images == tuple(q.images[i - 1] for i in p.images)
+
+
+def test_memoized_cycle_data_matches_a_reference_on_all_of_s6():
+    identity = tuple(range(1, 7))
+    for _ in range(2):
+        for p in S6:
+            assert p.cycles() == _reference_cycles(p.images, False)
+            assert p.cycles(include_fixed=True) == _reference_cycles(p.images, True)
+            assert p.cycle_type() == tuple(
+                sorted(map(len, _reference_cycles(p.images, True)), reverse=True)
+            )
+            assert p.is_identity() == (p.images == identity)
+
+
+def test_orbits_ignore_repeated_and_reordered_generators():
+    rng = random.Random(5)
+    for _ in range(50):
+        gens = rng.sample(S6, rng.randint(1, 3))
+        noisy = gens * 3
+        rng.shuffle(noisy)
+        assert orbits(noisy, 6) == orbits(gens, 6)
+    with pytest.raises(ValueError):
+        orbits([Permutation.identity(3), Permutation.identity(4)] * 2)
+
+
+def test_a_raising_compose_leaves_no_memo_entry():
+    before = _compose.cache_info().currsize
+    for _ in range(2):
+        with pytest.raises(ValueError, match="degree mismatch: 3 vs 4"):
+            compose(Permutation.identity(3), Permutation.identity(4))
+    assert _compose.cache_info().currsize == before
+
+
+def test_memos_stay_far_below_their_bound_over_the_five_suites():
+    for memo in MEMOS:
+        memo.cache_clear()
+    for suite in sorted(SUITES):
+        assert run_batch(suite, spread_configs(suite, 40, 1, 3, 8)).passed, suite
+    for memo in MEMOS:
+        info = memo.cache_info()
+        assert info.maxsize == MEMO_SIZE
+        assert 0 < info.currsize <= MEMO_SIZE // 4, (memo.__name__, info)
