@@ -1,18 +1,24 @@
 """Paired parent/change benchmark record, written as a ``BENCH_*.json``.
 
 Extracts two revisions of this repository with ``git archive`` and runs
-``perfbench/run.py`` from each, one workload at a time, one pair of runs
-per seed, alternating which side runs first:
+``perfbench/run.py`` from each, for every workload and run length that
+``BENCHMARK.json`` declares, one pair of runs per seed, alternating
+which side runs first:
 
     python3 scripts/bench_pairs.py --parent HEAD~1 --change HEAD \\
-        --seeds 101-110 --seconds 20 --out BENCH_8.json
+        --seeds 101-110 --out BENCH_8.json
 
-The record holds, per workload and end-to-end metric, both sides'
-per-pair values, medians and quartiles, the change/parent ratio of the
-medians, and in how many pairs the change was better; also the failed
-item counts, whether the canonical-output digests agreed in every pair,
-the seeds, the run length, both revisions, the CPU count and the Python
-version.
+Each pair also times the one-shot CLI commands in ``ONE_SHOT``, each in
+a fresh interpreter so every memo starts empty: the time from calling
+``cli.main`` to its return, import excluded (``setup_s`` covers that),
+the median of ``ONE_SHOT_REPEATS`` processes per side and pair.
+
+The record holds, per workload and end-to-end metric and per one-shot
+command, both sides' per-pair values, medians and quartiles, the
+change/parent ratio of the medians, and in how many pairs the change
+was better; also the failed item counts, whether the canonical-output
+digests agreed in every pair, the seeds, the run length, both
+revisions, the CPU count and the Python version.
 """
 from __future__ import annotations
 
@@ -28,6 +34,18 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+
+ONE_SHOT = {
+    "construct": ["construct", "--in", "tests/fixtures/tower_general_g3.json"],
+    "invert": ["invert", "--in", "tests/fixtures/tetragonal_m0_g2.json"],
+    "sample": ["sample", "--mode", "general", "--genus", "8", "--seed", "1"],
+}
+ONE_SHOT_REPEATS = 5
+TIME_MAIN = (
+    "import sys, time; from trigonal.cli import main; "
+    "t = time.perf_counter(); status = main(sys.argv[1:]); "
+    "print(time.perf_counter() - t); sys.exit(status)"
+)
 
 
 def resolve(revision: str) -> str:
@@ -60,72 +78,90 @@ def run_once(tree: Path, workload: str, seed: int, seconds: float) -> tuple[dict
     return json.loads(lines[-2]), json.loads(lines[-1])
 
 
+def one_shot_ms(tree: Path, argv: list[str], out: Path) -> float:
+    """Median time of ``cli.main(argv)`` over fresh interpreters, in ms."""
+    times = []
+    for _ in range(ONE_SHOT_REPEATS):
+        done = subprocess.run(
+            [sys.executable, "-c", TIME_MAIN, *argv, "--out", str(out)],
+            cwd=tree, env={**os.environ, "PYTHONPATH": "src"},
+            capture_output=True, text=True,
+        )
+        if done.returncode != 0:
+            raise RuntimeError(f"{argv} in {tree}: exit {done.returncode}\n{done.stderr}")
+        times.append(1000 * float(done.stdout.split()[-1]))
+    return statistics.median(times)
+
+
 def quartiles(values: list[float]) -> list[float]:
     return statistics.quantiles(values, n=4, method="inclusive") if len(values) > 1 else values * 3
 
 
+def compare(sides: dict[str, list[float]], unit: str, better: str) -> dict:
+    higher = better == "higher"
+    won = sum((c > p) if higher else (c < p) for p, c in zip(sides["parent"], sides["change"]))
+    medians = {side: statistics.median(values) for side, values in sides.items()}
+    return {
+        "unit": unit,
+        "better": better,
+        **{f"{side}_values": values for side, values in sides.items()},
+        **{f"{side}_median": medians[side] for side in sides},
+        **{f"{side}_quartiles": quartiles(values) for side, values in sides.items()},
+        "ratio_change_to_parent": medians["change"] / medians["parent"],
+        "pairs_change_better": won,
+    }
+
+
 def summarize(spec: dict, runs: dict) -> dict:
-    out = {}
-    for metric in spec["end_to_end"]:
-        name = metric["name"]
-        sides = {side: [r[1]["metrics"][name]["value"] for r in runs[side]] for side in runs}
-        higher = metric["better"] == "higher"
-        better = sum(
-            (c > p) if higher else (c < p) for p, c in zip(sides["parent"], sides["change"])
+    return {
+        metric["name"]: compare(
+            {side: [r[1]["metrics"][metric["name"]]["value"] for r in runs[side]] for side in runs},
+            metric["unit"], metric["better"],
         )
-        medians = {side: statistics.median(values) for side, values in sides.items()}
-        out[name] = {
-            "unit": metric["unit"],
-            "better": metric["better"],
-            **{f"{side}_values": values for side, values in sides.items()},
-            **{f"{side}_median": medians[side] for side in sides},
-            **{f"{side}_quartiles": quartiles(values) for side, values in sides.items()},
-            "ratio_change_to_parent": medians["change"] / medians["parent"],
-            "pairs_change_better": better,
-        }
-    return out
+        for metric in spec["end_to_end"]
+    }
 
 
 def parse_seeds(text: str) -> list[int]:
-    if "-" in text:
-        first, last = map(int, text.split("-"))
-        return list(range(first, last + 1))
-    return [int(s) for s in text.split(",")]
+    first, last = map(int, text.split("-"))
+    return list(range(first, last + 1))
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", required=True, help="parent revision")
     parser.add_argument("--change", required=True, help="changed revision")
-    parser.add_argument("--seeds", default="101-110", help="range a-b or comma list")
-    parser.add_argument("--seconds", type=float, default=20.0)
-    parser.add_argument("--workloads", default=None, help="comma list; default all")
+    parser.add_argument("--seeds", default="101-110", help="seed range a-b, one pair per seed")
     parser.add_argument("--out", required=True)
     args = parser.parse_args(argv)
 
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
-    workloads = args.workloads.split(",") if args.workloads else [w["name"] for w in spec["workloads"]]
+    seconds = spec["run_seconds"]
     seeds = parse_seeds(args.seeds)
     revisions = {"parent": resolve(args.parent), "change": resolve(args.change)}
     record = {
         "parent_revision": revisions["parent"],
         "change_revision": revisions["change"],
         "command": "python3 perfbench/run.py --workload W --seed S --seconds T",
-        "seconds": args.seconds,
+        "seconds": seconds,
         "seeds": seeds,
         "pairs": len(seeds),
         "order": "per workload, seed by seed; parent runs first at even seed positions, change first at odd ones",
         "cpu_count": os.cpu_count(),
         "python": platform.python_version(),
+        "one_shot_command": f"PYTHONPATH=src python3 -c '{TIME_MAIN}' ARGS --out FILE",
+        "one_shot_args": ONE_SHOT,
+        "one_shot_repeats": ONE_SHOT_REPEATS,
         "workloads": {},
+        "one_shot": {},
     }
     with tempfile.TemporaryDirectory() as scratch:
         trees = {side: extract(rev, Path(scratch)) for side, rev in revisions.items()}
-        for workload in workloads:
+        for workload in (w["name"] for w in spec["workloads"]):
             runs: dict[str, list] = {"parent": [], "change": []}
             for i, seed in enumerate(seeds):
                 for side in ("parent", "change") if i % 2 == 0 else ("change", "parent"):
-                    runs[side].append(run_once(trees[side], workload, seed, args.seconds))
+                    runs[side].append(run_once(trees[side], workload, seed, seconds))
                     print(f"{workload} seed {seed} {side}: "
                           f"{runs[side][-1][1]['metrics']['throughput_per_s']['value']:.1f}/s",
                           file=sys.stderr)
@@ -137,6 +173,13 @@ def main(argv=None) -> int:
                 ),
                 "metrics": summarize(spec, runs),
             }
+        out = Path(scratch) / "out.json"
+        for name, argv in ONE_SHOT.items():
+            times: dict[str, list[float]] = {"parent": [], "change": []}
+            for i in range(len(seeds)):
+                for side in ("parent", "change") if i % 2 == 0 else ("change", "parent"):
+                    times[side].append(one_shot_ms(trees[side], argv, out))
+            record["one_shot"][name] = compare(times, "ms", "lower")
     Path(args.out).write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
     return 0
 
