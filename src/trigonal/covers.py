@@ -14,7 +14,6 @@ Nodes are never encoded into the permutations themselves.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
 from .permutation import Permutation, induced_action, orbits, product
@@ -61,11 +60,21 @@ class BranchedCover:
     def total_ramification(self) -> int:
         return sum(self.degree - len(p.cycles(include_fixed=True)) for p in self.monodromy)
 
-    @cached_property
+    @property
     def orbits(self) -> tuple[tuple[int, ...], ...]:
         """Orbits of the monodromy group on the sheets, computed once per
-        cover; not a field, so equality and hashing ignore it."""
-        return orbits(self.monodromy, self.degree)
+        cover and kept in the instance dict; not a field, so equality and
+        hashing ignore it.
+
+        Not ``functools.cached_property``: before Python 3.12 its first
+        read takes one lock shared by every instance of the class, so
+        ``run_batch`` worker threads park on each other there.  Two
+        threads racing on one cover both store the same tuple.
+        """
+        cached = self.__dict__.get("orbits")
+        if cached is None:
+            cached = self.__dict__["orbits"] = orbits(self.monodromy, self.degree)
+        return cached
 
     def is_connected(self) -> bool:
         return len(self.orbits) == 1

@@ -1,7 +1,7 @@
 """Batch orchestration: suites, parallel determinism, failure capture."""
 import pytest
 
-from trigonal import SampleConfig, run_batch, spread_configs
+from trigonal import SUITES, SampleConfig, run_batch, spread_configs
 from trigonal.jsonio import batch_report_to_dict, dumps_canonical
 
 
@@ -52,6 +52,22 @@ def test_reports_are_byte_identical_across_thread_counts():
         for jobs in (1, 2, 4)
     }
     assert serialized[1] == serialized[2] == serialized[4]
+
+
+@pytest.mark.parametrize("index", [0, 1, 3])
+def test_an_uncaught_error_in_any_thread_share_reaches_the_caller(monkeypatch, index):
+    # with jobs=2 the calling thread runs instances 0, 2, ... and the worker
+    # 1, 3, ...; an error run_batch does not capture must surface from either
+    cfgs = spread_configs("general-props", 4, 33, 3, 8)
+
+    def runner(cfg):
+        if cfg == cfgs[index]:
+            raise TypeError(f"instance {index}")
+        return SUITES["general-props"](cfg)
+
+    monkeypatch.setitem(SUITES, "raising", runner)
+    with pytest.raises(TypeError, match=f"instance {index}"):
+        run_batch("raising", cfgs, jobs=2)
 
 
 def test_instance_failure_is_captured_not_raised():

@@ -57,6 +57,13 @@ def test_cached_orbits_leave_equality_and_hashing_alone():
     assert [c.sheets for c in components(first)] == [(1, 2), (3, 4)]
 
 
+def test_orbits_cache_takes_no_shared_lock():
+    # functools.cached_property before Python 3.12 serialises the first read
+    # of every instance on one class-wide lock, where run_batch's worker
+    # threads would park on each other
+    assert not hasattr(BranchedCover.__dict__["orbits"], "lock")
+
+
 def test_hyperelliptic_genus():
     # 2g+2 simple branch points on a double cover give genus g
     for g in range(0, 5):
