@@ -6,7 +6,7 @@ Extracts two revisions of this repository with ``git archive`` and runs
 which side runs first:
 
     python3 scripts/bench_pairs.py --parent HEAD~1 --change HEAD \\
-        --seeds 101-110 --out BENCH_8.json
+        --seeds 101-110 --out BENCH_9.json
 
 Each pair also times the one-shot CLI commands in ``ONE_SHOT``, each in
 a fresh interpreter so every memo starts empty: the time from calling
@@ -16,9 +16,10 @@ the median of ``ONE_SHOT_REPEATS`` processes per side and pair.
 The record holds, per workload and end-to-end metric and per one-shot
 command, both sides' per-pair values, medians and quartiles, the
 change/parent ratio of the medians, and in how many pairs the change
-was better; also the failed item counts, whether the canonical-output
-digests agreed in every pair, the seeds, the run length, both
-revisions, the CPU count and the Python version.
+was better; beside ``latency_tail_ms``, each run's tail percentile and
+latency sample count; also the failed item counts, whether the
+canonical-output digests agreed in every pair, the seeds, the run
+length, both revisions, the CPU count and the Python version.
 """
 from __future__ import annotations
 
@@ -113,13 +114,20 @@ def compare(sides: dict[str, list[float]], unit: str, better: str) -> dict:
 
 
 def summarize(spec: dict, runs: dict) -> dict:
-    return {
+    metrics = {
         metric["name"]: compare(
             {side: [r[1]["metrics"][metric["name"]]["value"] for r in runs[side]] for side in runs},
             metric["unit"], metric["better"],
         )
         for metric in spec["end_to_end"]
     }
+    # the tail is the highest percentile with ten samples beyond it, so it
+    # depends on each run's sample count: keep both beside the values
+    tail = metrics["latency_tail_ms"]
+    for side in runs:
+        tail[f"{side}_tail_percentiles"] = [r[0]["latency_tail_percentile"] for r in runs[side]]
+        tail[f"{side}_latency_samples"] = [r[0]["latency_samples"] for r in runs[side]]
+    return metrics
 
 
 def parse_seeds(text: str) -> list[int]:

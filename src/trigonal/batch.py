@@ -91,6 +91,8 @@ def spread_configs(
         raise ValueError(f"unknown suite {suite!r}; choose from {sorted(SUITE_MODES)}")
     if genus_lo > genus_hi:
         raise ValueError(f"empty genus range {genus_lo}..{genus_hi}")
+    if count < 0:
+        raise ValueError(f"count must be non-negative, got {count}")
     mode = SUITE_MODES[suite]
     genera = range(genus_lo, genus_hi + 1)
     return [

@@ -160,6 +160,8 @@ def _cmd_classify(args) -> int:
 
 def _cmd_sample(args) -> int:
     started = time.perf_counter()
+    if args.count < 0:
+        raise ValueError(f"count must be non-negative, got {args.count}")
     documents = []
     for index in range(args.count):
         cfg = SampleConfig(
@@ -279,7 +281,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=SAMPLE_KINDS, required=True)
     p.add_argument("--genus", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--count", type=int, default=1)
+    p.add_argument(
+        "--count", type=int, default=1,
+        help="1 writes one document seeded with --seed; any other count writes a list "
+        "whose i-th entry is seeded with derive_seed(seed, i), and 0 writes []",
+    )
     p.add_argument("--three-cycles", type=int, default=0, help="number of 3-cycle base labels")
     p.set_defaults(func=_cmd_sample)
 

@@ -10,13 +10,21 @@ whose monodromy would be trivial is simply not a branch label.
 Nodal curves are modelled by a smooth cover (the normalization) plus
 side-band node markers: unordered pairs of fibre points that are glued.
 Nodes are never encoded into the permutations themselves.
+
+A cover keeps its orbits in its instance dict once first asked, and
+``total_ramification`` sums a per-entry ramification memoized, like
+the permutation kernel, on the entry's image tuple and bounded at
+``MEMO_SIZE``; ``perm_at`` returns the kernel's shared identity for a
+label the cover is not branched over.  The product relation is still
+checked for every cover.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
-from .permutation import Permutation, induced_action, orbits, product
+from .permutation import MEMO_SIZE, Permutation, induced_action, orbits, product
 
 
 @dataclass(frozen=True)
@@ -58,7 +66,7 @@ class BranchedCover:
         return tuple(zip(self.labels, self.monodromy))
 
     def total_ramification(self) -> int:
-        return sum(self.degree - len(p.cycles(include_fixed=True)) for p in self.monodromy)
+        return sum(map(_ramification, [p.images for p in self.monodromy]))
 
     @property
     def orbits(self) -> tuple[tuple[int, ...], ...]:
@@ -78,6 +86,12 @@ class BranchedCover:
 
     def is_connected(self) -> bool:
         return len(self.orbits) == 1
+
+
+@functools.lru_cache(maxsize=MEMO_SIZE)
+def _ramification(images: tuple[int, ...]) -> int:
+    """Sheets minus cycles of one monodromy entry."""
+    return len(images) - len(Permutation(images).cycles(include_fixed=True))
 
 
 @dataclass(frozen=True)

@@ -22,6 +22,7 @@ cover), which raises if a set is not carried onto a set.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -37,7 +38,7 @@ from .covers import (
     induced_cover,
     label_cycles,
 )
-from .permutation import Permutation, conjugate, induced_action
+from .permutation import MEMO_SIZE, Permutation, conjugate, induced_action
 from .report import CheckReport, CheckResult
 from .towers import ETALE, GENERAL, SPECIAL, BlockSystem, Tower
 
@@ -334,16 +335,14 @@ def _shared_checks(result: ForwardResult) -> list[CheckResult]:
 
     diagram = []
     for label in tower.cover.labels:
-        action = result.sections.perm_at(label)
-        induced_quotient = result.quotient.perm_at(label)
-        induced_orientation = result.orientation.perm_at(label)
-        for t in range(1, SECTION_COUNT + 1):
-            if result.to_quotient[action(t) - 1] != induced_quotient(result.to_quotient[t - 1]):
-                diagram.append(f"quotient square breaks at {label}/{t}")
-            if result.to_orientation[action(t) - 1] != induced_orientation(
-                result.to_orientation[t - 1]
-            ):
-                diagram.append(f"orientation square breaks at {label}/{t}")
+        breaks = _square_breaks(
+            result.sections.perm_at(label),
+            result.quotient.perm_at(label),
+            result.orientation.perm_at(label),
+            result.to_quotient,
+            result.to_orientation,
+        )
+        diagram.extend(f"{square} square breaks at {label}/{t}" for square, t in breaks)
     checks.append(CheckResult("diagram-commutes", not diagram, "; ".join(diagram[:4])))
 
     odd_weight = {
@@ -359,6 +358,27 @@ def _shared_checks(result: ForwardResult) -> list[CheckResult]:
         )
     )
     return checks
+
+
+@functools.lru_cache(maxsize=MEMO_SIZE)
+def _square_breaks(
+    action: Permutation,
+    quotient: Permutation,
+    orientation: Permutation,
+    to_quotient: tuple[int, ...],
+    to_orientation: tuple[int, ...],
+) -> tuple[tuple[str, int], ...]:
+    """The transversals ``t`` at which the sheet maps fail to carry the
+    section action at one label onto its quotient or orientation action,
+    as ``(square, t)`` in ``t`` order, quotient before orientation.
+    Memoized on all five arguments: a few label triples recur."""
+    breaks = []
+    for t in range(1, SECTION_COUNT + 1):
+        if to_quotient[action(t) - 1] != quotient(to_quotient[t - 1]):
+            breaks.append(("quotient", t))
+        if to_orientation[action(t) - 1] != orientation(to_orientation[t - 1]):
+            breaks.append(("orientation", t))
+    return tuple(breaks)
 
 
 def _component_of(parts: tuple[Component, ...], parent_sheet: int) -> int:

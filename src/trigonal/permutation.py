@@ -10,12 +10,13 @@ the identity".
 The groups acting here are tiny (S3, S4, the 48-element block group in
 S6 and its image in S8), so the kernel is memoized on image tuples:
 ``compose`` on the pair ``(p.images, q.images)``, ``cycles`` on
-``(images, include_fixed)``, ``is_identity`` on ``images`` and
-``induced_action`` on ``(perm, points)``.  Each memo is an
-``lru_cache`` bounded at ``MEMO_SIZE`` entries, and a call that raises
-is not stored.  A result is still built through ``Permutation``, so
-validation runs on every cache miss; a hit returns the permutation
-validated when it was first built.  Images must be of type ``int``, so
+``(images, include_fixed)``, ``is_identity`` on ``images``,
+``induced_action`` on ``(perm, points)``, ``orbits`` on the sorted
+distinct generator images and the degree, and ``Permutation.identity``
+on the degree.  Each memo is an ``lru_cache`` bounded at ``MEMO_SIZE``
+entries, and a call that raises is not stored.  A result is still
+built through ``Permutation``, so validation runs on every cache miss;
+a hit returns the permutation validated when it was first built.  Images must be of type ``int``, so
 equal-but-not-int tuples such as ``(2.0, 1.0)`` never share an entry.
 """
 from __future__ import annotations
@@ -51,9 +52,10 @@ class Permutation:
     def degree(self) -> int:
         return len(self.images)
 
-    @classmethod
-    def identity(cls, degree: int) -> "Permutation":
-        return cls(tuple(range(1, degree + 1)))
+    @staticmethod
+    def identity(degree: int) -> "Permutation":
+        """The identity of ``degree``, one shared instance per degree."""
+        return _identity(degree)
 
     @classmethod
     def from_cycles(cls, degree: int, cycles: Iterable[Sequence[int]]) -> "Permutation":
@@ -110,6 +112,11 @@ class Permutation:
         if not cycles:
             return f"id[{self.degree}]"
         return "".join("(" + " ".join(map(str, c)) + ")" for c in cycles)
+
+
+@functools.lru_cache(maxsize=MEMO_SIZE)
+def _identity(degree: int) -> Permutation:
+    return Permutation(tuple(range(1, degree + 1)))
 
 
 @functools.lru_cache(maxsize=MEMO_SIZE)
@@ -190,17 +197,25 @@ def induced_action(perm: Permutation, points: tuple[tuple[int, ...], ...]) -> Pe
 
 
 def orbits(perms: Sequence[Permutation], degree: int | None = None) -> tuple[tuple[int, ...], ...]:
-    """Orbits of the group generated by ``perms`` on the sheets.
-
-    Union-find over ``1..degree`` run once per distinct generator, since
-    repeated or reordered generators generate the same group; returns
+    """Orbits of the group generated by ``perms`` on the sheets, as
     sorted tuples ordered by their smallest element.  ``degree`` is
     required when ``perms`` is empty.
+
+    Memoized on the sorted distinct image tuples and ``degree``, since
+    repeated or reordered generators generate the same group; a miss
+    runs a union-find over ``1..degree``, and a call that raises (mixed
+    degrees, a mismatched or missing ``degree``) is not stored.
     """
-    perms = tuple(dict.fromkeys(perms))
-    if perms:
-        n = perms[0].degree
-        if any(p.degree != n for p in perms):
+    return _orbits(tuple(sorted({p.images for p in perms})), degree)
+
+
+@functools.lru_cache(maxsize=MEMO_SIZE)
+def _orbits(
+    generators: tuple[tuple[int, ...], ...], degree: int | None
+) -> tuple[tuple[int, ...], ...]:
+    if generators:
+        n = len(generators[0])
+        if any(len(g) != n for g in generators):
             raise ValueError("orbits requires permutations of equal degree")
         if degree is not None and degree != n:
             raise ValueError(f"degree {degree} does not match permutations of degree {n}")
@@ -217,8 +232,8 @@ def orbits(perms: Sequence[Permutation], degree: int | None = None) -> tuple[tup
             x = parent[x]
         return x
 
-    for p in perms:
-        for i, image in enumerate(p.images, start=1):
+    for images in generators:
+        for i, image in enumerate(images, start=1):
             a, b = find(i), find(image)
             if a != b:
                 parent[a] = b

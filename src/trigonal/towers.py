@@ -10,11 +10,12 @@ labels) or Special (one label flipping two of its three blocks).
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .covers import BranchedCover, CoverPoint, genus, induced_cover
-from .permutation import Permutation, induced_action
+from .permutation import MEMO_SIZE, Permutation, induced_action
 
 ETALE = "etale"
 GENERAL = "general"
@@ -80,21 +81,33 @@ def flip_points(cover: BranchedCover, blocks: BlockSystem) -> tuple[CoverPoint, 
     Over a length-l cycle of the block action the 2l sheets above it
     form either a single 2l-cycle (the double cover is ramified there)
     or two l-cycles (it is not); no other pattern can occur for a
-    block-preserving permutation.
+    block-preserving permutation, and any other is rejected.
     """
     out = []
     for label, perm in cover.entries():
-        action = block_action(perm, blocks)
-        for block_cycle in action.cycles(include_fixed=True):
-            sheets = {s for bi in block_cycle for s in blocks[bi - 1]}
-            first = min(sheets)
-            upstairs = perm.cycle_through(first)
-            if len(upstairs) == 2 * len(block_cycle):
-                out.append(CoverPoint(label, block_cycle))
-            elif not len(upstairs) == len(block_cycle):
+        for block_cycle, upstairs in _flip_pattern(perm, blocks):
+            if len(upstairs) != 2 * len(block_cycle):
                 raise ValueError(
                     f"impossible block pattern at {label!r}: cycle {upstairs!r} over {block_cycle!r}"
                 )
+            out.append(CoverPoint(label, block_cycle))
+    return tuple(out)
+
+
+@functools.lru_cache(maxsize=MEMO_SIZE)
+def _flip_pattern(
+    perm: Permutation, blocks: BlockSystem
+) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
+    """Each cycle of the block action whose sheets do not split into two
+    cycles of its length, with the upstairs cycle through its smallest
+    sheet, in block-cycle order.  Memoized on ``(perm, blocks)``: the
+    block group has 48 elements."""
+    out = []
+    for block_cycle in block_action(perm, blocks).cycles(include_fixed=True):
+        first = min(s for bi in block_cycle for s in blocks[bi - 1])
+        upstairs = perm.cycle_through(first)
+        if len(upstairs) != len(block_cycle):
+            out.append((block_cycle, upstairs))
     return tuple(out)
 
 

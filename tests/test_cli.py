@@ -121,6 +121,21 @@ def test_sample_count_emits_a_list(capsys):
     assert docs[0] != docs[1]
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("sample", "--mode", "general", "--genus", "4", "--count", "-2"),
+        ("batch", "--suite", "general-props", "--count", "-3"),
+    ],
+    ids=["sample", "batch"],
+)
+def test_negative_count_prints_one_error_line_and_exits_2(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: count must be non-negative, got {argv[-1]}\n"
+
+
 def test_roundtrip_special_from_file(capsys):
     code, out, _ = run(
         capsys, "roundtrip", "--mode", "special",

@@ -95,6 +95,26 @@ def test_perm_at_defaults_to_identity():
     assert cover.perm_at("absent").is_identity()
 
 
+@given(transitive_covers(5))
+def test_perm_at_agrees_with_the_label_scan_or_a_fresh_identity(cover):
+    for label in cover.labels + ("p00", "absent"):
+        if label in cover.labels:
+            expected = cover.monodromy[cover.labels.index(label)]
+        else:
+            expected = Permutation(tuple(range(1, cover.degree + 1)))
+        assert cover.perm_at(label) == expected
+    # a label the cover is not branched over gets the one memoized identity
+    assert cover.perm_at("absent") is Permutation.identity(cover.degree)
+
+
+@given(transitive_covers(6))
+def test_memoized_total_ramification_matches_the_cycle_count(cover):
+    for _ in range(2):  # the second pass reads the memo
+        assert cover.total_ramification() == sum(
+            cover.degree - len(p.cycles(include_fixed=True)) for p in cover.monodromy
+        )
+
+
 def test_ramification_profile():
     cover = BranchedCover.from_pairs(
         4,

@@ -1,6 +1,8 @@
 """The sections construction: eight transversals, the complementing
 involution, and the two quotients, checked against the hand fixtures
 and against the local monodromy dictionary."""
+import dataclasses
+
 import pytest
 
 from trigonal import (
@@ -207,3 +209,20 @@ def test_verify_predictions_reports_failures_without_raising():
     report = verify_predictions(SPECIAL, construct(ETALE))
     assert not report.passed
     assert report.failures()
+
+
+def test_diagram_commutes_names_the_first_four_broken_squares():
+    # sheet maps that send transversal 1 to the wrong involution class and
+    # the wrong parity class: squares break at several labels, reported in
+    # label/t order, quotient before orientation, the detail keeping four
+    result = dataclasses.replace(
+        construct(GENERAL),
+        to_quotient=(3, 2, 3, 4, 4, 3, 2, 1),
+        to_orientation=(2, 2, 2, 1, 2, 1, 1, 2),
+    )
+    (check,) = [c for c in verify_predictions(GENERAL, result).checks if c.name == "diagram-commutes"]
+    assert not check.passed
+    assert check.detail == (
+        "quotient square breaks at h01/1; quotient square breaks at h02/1; "
+        "orientation square breaks at h02/1; quotient square breaks at h02/7"
+    )

@@ -19,7 +19,8 @@ from trigonal import (
 from trigonal import sampling
 from trigonal.batch import SUITES, run_batch, spread_configs
 from trigonal.forward import _orientation_action, _quotient_action
-from trigonal.permutation import MEMO_SIZE, _compose, _cycles, _is_identity
+from trigonal import covers, forward, towers
+from trigonal.permutation import MEMO_SIZE, _compose, _cycles, _identity, _is_identity, _orbits
 
 from conftest import BLOCK_GROUP, CANONICAL_BLOCKS, S4, permutations
 
@@ -174,8 +175,13 @@ def test_induced_action_memo_is_bounded_by_the_group_orders():
 MEMOS = (
     _compose,
     _cycles,
+    _identity,
     _is_identity,
+    _orbits,
     induced_action,
+    covers._ramification,
+    towers._flip_pattern,
+    forward._square_breaks,
     sampling._etale_lift_options,
     sampling._lift,
 )
@@ -226,6 +232,59 @@ def test_orbits_ignore_repeated_and_reordered_generators():
         assert orbits(noisy, 6) == orbits(gens, 6)
     with pytest.raises(ValueError):
         orbits([Permutation.identity(3), Permutation.identity(4)] * 2)
+
+
+def _reference_orbits(generators, degree):
+    # a plain union-find with no memo and no deduplication
+    parent = list(range(degree + 1))
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    for p in generators:
+        for i in range(1, degree + 1):
+            parent[find(i)] = find(p(i))
+    classes = {}
+    for i in range(1, degree + 1):
+        classes.setdefault(find(i), []).append(i)
+    return tuple(sorted(map(tuple, classes.values())))
+
+
+@pytest.mark.parametrize("degree", [4, 6, 8], ids=["S4", "S6", "S8"])
+def test_memoized_orbits_match_a_plain_union_find(degree):
+    rng = random.Random(degree)
+    generator_sets = [[]]
+    for _ in range(150):
+        generator_sets.append([])
+        for _ in range(rng.randint(1, 4)):
+            # shuffle a random subset of the sheets, so orbits of every size occur
+            moved = rng.sample(range(1, degree + 1), rng.randint(2, degree))
+            images = list(range(1, degree + 1))
+            for sheet, image in zip(moved, rng.sample(moved, len(moved))):
+                images[sheet - 1] = image
+            generator_sets[-1].append(Permutation(tuple(images)))
+    for _ in range(2):  # the second pass reads the memo
+        for gens in generator_sets:
+            assert orbits(gens, degree) == _reference_orbits(gens, degree)
+            if gens:
+                assert orbits(gens) == _reference_orbits(gens, degree)
+
+
+def test_a_raising_orbits_call_leaves_no_memo_entry():
+    mixed = [Permutation.identity(3), Permutation((2, 1, 3, 4))]
+    before = _orbits.cache_info().currsize
+    for _ in range(2):
+        with pytest.raises(ValueError, match="equal degree"):
+            orbits(mixed)
+        with pytest.raises(ValueError, match="equal degree"):
+            orbits(mixed, 4)
+        with pytest.raises(ValueError, match="degree 5 does not match permutations of degree 4"):
+            orbits(mixed[1:], 5)
+        with pytest.raises(ValueError, match="explicit degree"):
+            orbits([])
+    assert _orbits.cache_info().currsize == before
 
 
 def test_a_raising_compose_leaves_no_memo_entry():

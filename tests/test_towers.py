@@ -4,16 +4,18 @@ from hypothesis import given
 from trigonal import (
     BlockSystem,
     BranchedCover,
+    CoverPoint,
     Permutation,
     TowerValidationError,
     block_action,
+    conjugate,
     double_cover_genus,
     flip_points,
     genus,
     validate_tower,
 )
 
-from conftest import CANONICAL_BLOCKS, block_preserving_permutations
+from conftest import BLOCK_GROUP, CANONICAL_BLOCKS, block_preserving_permutations
 
 A = Permutation((3, 4, 1, 2, 5, 6))
 A2 = Permutation((4, 3, 2, 1, 5, 6))
@@ -129,6 +131,33 @@ def test_flip_points_mark_the_flipped_blocks_downstairs():
     assert [(p.label, p.cycle) for p in points] == [("f1", (1,)), ("f1", (2,))]
     etale = validate_tower(ETALE_COVER, CANONICAL_BLOCKS)
     assert flip_points(etale.cover, etale.blocks) == ()
+
+
+def _reference_flip_points(cover, blocks):
+    # flip_points as one loop over the entries, with no memo
+    out = []
+    for label, perm in cover.entries():
+        for block_cycle in block_action(perm, blocks).cycles(include_fixed=True):
+            sheets = {s for bi in block_cycle for s in blocks[bi - 1]}
+            upstairs = perm.cycle_through(min(sheets))
+            if len(upstairs) == 2 * len(block_cycle):
+                out.append(CoverPoint(label, block_cycle))
+            elif len(upstairs) != len(block_cycle):
+                raise ValueError(f"impossible block pattern at {label!r}")
+    return tuple(out)
+
+
+def test_memoized_flip_points_match_the_loop_on_the_whole_block_group():
+    rho = Permutation((4, 1, 6, 2, 5, 3))
+    moved = BlockSystem.from_pairs([tuple(map(rho, b)) for b in CANONICAL_BLOCKS])
+    for _ in range(2):  # the second pass reads the memo
+        for blocks, relabel in ((CANONICAL_BLOCKS, Permutation.identity(6)), (moved, rho)):
+            for p in BLOCK_GROUP:
+                if p.is_identity():
+                    continue
+                p = conjugate(p, relabel)
+                cover = BranchedCover.from_pairs(6, [("a", p), ("b", p.inverse())])
+                assert flip_points(cover, blocks) == _reference_flip_points(cover, blocks)
 
 
 def test_double_cover_genus_matches_mode():
