@@ -16,10 +16,9 @@ from trigonal import (
     product,
     sections_action,
 )
-from trigonal import sampling
+from trigonal import covers, forward, sampling, towers
 from trigonal.batch import SUITES, run_batch, spread_configs
 from trigonal.forward import _orientation_action, _quotient_action
-from trigonal import covers, forward, towers
 from trigonal.permutation import MEMO_SIZE, _compose, _cycles, _identity, _is_identity, _orbits
 
 from conftest import BLOCK_GROUP, CANONICAL_BLOCKS, S4, permutations
