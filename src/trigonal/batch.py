@@ -163,19 +163,20 @@ def run_batch(suite: str, configs: Sequence[SampleConfig], jobs: int = 1) -> Bat
         return InstanceResult(index, cfg.genus, cfg.mode, cfg.seed, checks)
 
     numbered = list(enumerate(configs))
+    shares = max(1, min(jobs, len(numbered)))  # no thread without an instance
 
     def run_share(share: int) -> list[InstanceResult]:
-        return [run_one(pair) for pair in numbered[share::jobs]]
+        return [run_one(pair) for pair in numbered[share::shares]]
 
-    if jobs == 1 or len(numbered) <= 1:
+    if shares <= 1:
         results = run_share(0)
     else:
         # One strided share per thread, the calling thread running the
         # first.  A task per instance hands every result between threads:
         # on 2 CPUs that cost about 1 ms per 20-instance call, and 5-8 ms
         # at its 90th percentile, as much as a fifth of the call.
-        with ThreadPoolExecutor(max_workers=jobs - 1) as pool:
-            others = [pool.submit(run_share, share) for share in range(1, jobs)]
+        with ThreadPoolExecutor(max_workers=shares - 1) as pool:
+            others = [pool.submit(run_share, share) for share in range(1, shares)]
             results = run_share(0)
             for future in others:
                 results.extend(future.result())

@@ -5,6 +5,17 @@ keys, trailing newline.  Parsing then serializing a canonical document
 reproduces it byte for byte, which is what makes reports comparable
 across runs and machines.
 
+``dumps_canonical`` writes exactly the bytes of
+``json.dumps(payload, indent=2, sort_keys=True) + "\n"``, but builds
+them with its own small writer: CPython's C encoder runs only when
+``indent`` is None, so the stdlib renders an indented document with
+its pure-Python generator encoder, which took about half of a large
+construct or invert.  The writer covers the plain JSON the documents
+are made of (dicts with ``str`` keys, lists, tuples, ``str``, ``int``,
+``bool``, ``None``); any other payload, and a circular or too-deep
+one, goes to ``json.dumps`` whole, so its bytes and errors stay the
+stdlib's.
+
 Monodromy is written in cycle form, 1-based, fixed sheets unlisted.
 Fibre points are written as ``[label, cycle_index]`` where the index
 counts the cycles of the monodromy over that label (fixed sheets
@@ -15,7 +26,7 @@ over unbranched fibres serialize the same way.
 from __future__ import annotations
 
 import json
-from typing import Any, Mapping, Sequence
+from typing import Any, Callable, Mapping, Sequence
 
 from .batch import BatchReport
 from .coefficients import ChainRow
@@ -27,8 +38,68 @@ from .report import CheckReport
 from .towers import BlockSystem, Tower, validate_tower
 
 
+_escape = json.encoder.encode_basestring_ascii
+_int_str = int.__repr__
+
+
+def _write(value: Any, out: Callable[[str], None], indent: str) -> None:
+    """Pass ``value`` to ``out`` in pieces, rendered as
+    ``json.dumps(indent=2, sort_keys=True)`` renders it at the nesting
+    level whose line break is ``indent``."""
+    kind = type(value)
+    if kind is str:
+        out(_escape(value))
+    elif kind is int:
+        out(_int_str(value))
+    elif kind is list or kind is tuple:
+        if not value:
+            out("[]")
+            return
+        inner = indent + "  "
+        separator = "," + inner
+        if all(type(v) is int for v in value):
+            # cycles and sheet maps: most of the bytes of every document
+            out("[" + inner + separator.join(map(_int_str, value)) + indent + "]")
+            return
+        head = "[" + inner
+        for v in value:
+            out(head)
+            _write(v, out, inner)
+            head = separator
+        out(indent + "]")
+    elif kind is dict:
+        if not value:
+            out("{}")
+            return
+        inner = indent + "  "
+        head = "{" + inner
+        for k in sorted(value):
+            if type(k) is not str:
+                raise TypeError(f"key {k!r} is not a str")
+            out(head + _escape(k) + ": ")
+            _write(value[k], out, inner)
+            head = "," + inner
+        out(indent + "}")
+    elif value is None:
+        out("null")
+    elif value is True:
+        out("true")
+    elif value is False:
+        out("false")
+    else:
+        raise TypeError(f"{kind.__name__} is not plain JSON")
+
+
 def dumps_canonical(payload: Any) -> str:
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    pieces: list[str] = []
+    try:
+        _write(payload, pieces.append, "\n")
+    except (TypeError, RecursionError):
+        # a value outside plain JSON, mixed key types, or a circular or
+        # too-deep payload: the stdlib's bytes, or the stdlib's error
+        return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    pieces.append("\n")
+    return "".join(pieces)
 
 
 # -- permutations and covers -------------------------------------------------
@@ -116,14 +187,25 @@ def tetragonal_from_dict(payload: Mapping) -> TetragonalCover:
 
 def point_to_ref(cover: BranchedCover, point: CoverPoint) -> list:
     cycles = label_cycles(cover, point.label)
-    return [point.label, cycles.index(point.cycle) + 1]
+    try:
+        return [point.label, cycles.index(point.cycle) + 1]
+    except ValueError:
+        raise ValueError(
+            f"{point.cycle!r} is not a fibre point over {point.label!r}"
+        ) from None
 
 
 def point_from_ref(cover: BranchedCover, ref: Sequence) -> CoverPoint:
+    if not isinstance(ref, (list, tuple)) or len(ref) != 2:
+        raise ValueError(f"fibre point ref {ref!r}: expected [label, cycle_index]")
     label, index = ref
+    if not isinstance(label, str) or type(index) is not int:
+        raise ValueError(
+            f"fibre point ref {ref!r}: expected a string label and an integer cycle index"
+        )
     cycles = label_cycles(cover, label)
     if not 1 <= index <= len(cycles):
-        raise ValueError(f"cycle index {index} out of range over {label!r}")
+        raise ValueError(f"fibre point ref {ref!r}: cycle index {index} out of range over {label!r}")
     return CoverPoint(label, cycles[index - 1])
 
 
