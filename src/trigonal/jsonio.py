@@ -9,8 +9,8 @@ across runs and machines.
 ``json.dumps(payload, indent=2, sort_keys=True) + "\n"``, but builds
 them with its own small writer: CPython's C encoder runs only when
 ``indent`` is None, so the stdlib renders an indented document with
-its pure-Python generator encoder, which took about half of a large
-construct or invert.  The writer covers the plain JSON the documents
+its pure-Python generator encoder, which took about half of each
+large construct or invert document (CPython 3.11).  The writer covers the plain JSON the documents
 are made of (dicts with ``str`` keys, lists, tuples, ``str``, ``int``,
 ``bool``, ``None``); any other payload, and a circular or too-deep
 one, goes to ``json.dumps`` whole, so its bytes and errors stay the
@@ -205,7 +205,9 @@ def point_from_ref(cover: BranchedCover, ref: Sequence) -> CoverPoint:
         )
     cycles = label_cycles(cover, label)
     if not 1 <= index <= len(cycles):
-        raise ValueError(f"fibre point ref {ref!r}: cycle index {index} out of range over {label!r}")
+        raise ValueError(
+            f"fibre point ref {ref!r}: cycle index {index} out of range over {label!r}"
+        )
     return CoverPoint(label, cycles[index - 1])
 
 

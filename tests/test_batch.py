@@ -1,7 +1,9 @@
 """Batch orchestration: suites, parallel determinism, failure capture."""
+from concurrent.futures import Future
+
 import pytest
 
-from trigonal import SUITES, SampleConfig, run_batch, spread_configs
+from trigonal import SUITES, SampleConfig, batch, run_batch, spread_configs
 from trigonal.jsonio import batch_report_to_dict, dumps_canonical
 
 
@@ -52,6 +54,38 @@ def test_reports_are_byte_identical_across_thread_counts():
         for jobs in (1, 2, 4)
     }
     assert serialized[1] == serialized[2] == serialized[4]
+
+
+@pytest.mark.parametrize(
+    "count, jobs, workers, shares",
+    [(3, 6, 2, [1, 1]), (3, 2, 1, [1]), (5, 3, 2, [2, 1]), (1, 4, None, []), (0, 4, None, [])],
+)
+def test_the_pool_starts_no_worker_without_an_instance(monkeypatch, count, jobs, workers, shares):
+    started, submitted = [], []
+
+    class RecordingExecutor:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            future = Future()
+            future.set_result(fn(*args))
+            submitted.append(len(future.result()))
+            return future
+
+    cfgs = spread_configs("general-props", count, 33, 3, 8)
+    expected = dumps_canonical(batch_report_to_dict(run_batch("general-props", cfgs)))
+    monkeypatch.setattr(batch, "ThreadPoolExecutor", RecordingExecutor)
+    report = run_batch("general-props", cfgs, jobs=jobs)
+    assert started == ([] if workers is None else [workers])
+    assert submitted == shares
+    assert dumps_canonical(batch_report_to_dict(report)) == expected
 
 
 @pytest.mark.parametrize("index", [0, 1, 3])

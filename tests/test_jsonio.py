@@ -1,11 +1,15 @@
 """Canonical JSON: byte-stable fixtures, full parse/serialize cycles,
 and schema conformance for every published document kind."""
+import enum
 import importlib.util
 import json
+from collections import OrderedDict
 from pathlib import Path
 
 import jsonschema
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from referencing import Registry, Resource
 
 from trigonal import (
@@ -17,7 +21,7 @@ from trigonal import (
     sample_tower,
     spread_configs,
 )
-from trigonal.covers import point_on
+from trigonal.covers import CoverPoint, point_on
 from trigonal.jsonio import (
     batch_report_to_dict,
     check_report_to_dict,
@@ -129,6 +133,35 @@ def test_point_refs_roundtrip_including_unramified_labels(fixture_doc):
         point_from_ref(cover, ["h01", 99])
 
 
+@pytest.mark.parametrize(
+    "ref",
+    [
+        ["h01", "2"],
+        ["h01", True],
+        ["h01", 2.0],
+        ["h01"],
+        ["h01", 2, 3],
+        [5, 1],
+        "h01",
+        None,
+    ],
+)
+def test_malformed_point_refs_raise_value_errors_naming_the_ref(fixture_doc, ref):
+    cover = tower_from_dict(fixture_doc("tower_special_g3.json")).cover
+    with pytest.raises(ValueError, match="fibre point ref") as err:
+        point_from_ref(cover, ref)
+    assert repr(ref) in str(err.value)
+
+
+@pytest.mark.parametrize("label, cycle", [("h01", (1, 2)), ("h01", (1, 3, 5)), ("h02", (7,))])
+def test_point_to_ref_rejects_a_point_not_over_its_label(fixture_doc, label, cycle):
+    cover = tower_from_dict(fixture_doc("tower_special_g3.json")).cover
+    point = CoverPoint(label, cycle)
+    with pytest.raises(ValueError, match="is not a fibre point over") as err:
+        point_to_ref(cover, point)
+    assert repr(point.cycle) in str(err.value) and repr(label) in str(err.value)
+
+
 def test_schema_validation_of_live_documents(validator):
     tower = sample_tower(SampleConfig(genus=3, mode="special", seed=77))
     validator("tower", tower_to_dict(tower))
@@ -170,3 +203,97 @@ def test_check_report_serialization():
     # canonical dump is stable under parse/dump
     text = dumps_canonical(payload)
     assert dumps_canonical(json.loads(text)) == text
+
+
+# -- the canonical writer against its reference -------------------------------
+
+def reference_dumps(payload):
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+def outcome(dumps, payload):
+    """The text ``dumps`` writes, or the type and message it raises."""
+    try:
+        return dumps(payload)
+    except (TypeError, ValueError) as err:
+        return type(err), str(err)
+
+
+TRICKY_TEXT = '"\\/\x00\x1f\x7f\u00e9\u2028\ud800\U0001f600 ab'
+json_strings = st.text() | st.text(alphabet=TRICKY_TEXT)
+json_scalars = (
+    st.none()
+    | st.booleans()
+    | st.sampled_from([0, 1, -1, True, False])
+    | st.integers()
+    | st.integers(min_value=-(10**60), max_value=10**60)
+    | st.floats(allow_nan=True, allow_infinity=True)
+    | json_strings
+)
+json_values = st.recursive(
+    json_scalars,
+    lambda children: st.lists(children)
+    | st.lists(children).map(tuple)
+    | st.dictionaries(json_strings, children),
+    max_leaves=40,
+)
+
+
+@given(json_values)
+def test_dumps_canonical_is_the_stdlib_indented_sorted_dump(payload):
+    assert dumps_canonical(payload) == reference_dumps(payload)
+
+
+class Sheet(enum.IntEnum):
+    ONE = 1
+    TWO = 2
+
+
+class Label(str):
+    pass
+
+
+def self_containing_list():
+    payload = [1]
+    payload.append(payload)
+    return payload
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        pytest.param({1: "a", 2: [1, 2]}, id="int-keys"),
+        pytest.param({2: "a", True: "b", None: "c"}, id="int-bool-none-keys"),
+        pytest.param({1: "a", "b": 2}, id="mixed-keys"),
+        pytest.param({"a": {(1, 2): 3}}, id="tuple-key"),
+        pytest.param([Sheet.ONE, Sheet.TWO], id="intenum-items"),
+        pytest.param({"sheet": Sheet.TWO, Sheet.ONE: [Sheet.TWO]}, id="intenum-key-and-value"),
+        pytest.param(OrderedDict([("b", 1), ("a", [2])]), id="ordereddict"),
+        pytest.param([OrderedDict()], id="empty-ordereddict"),
+        pytest.param(Label("h01"), id="str-subclass"),
+        pytest.param({Label("b"): Label("x"), "a": [Label("y")]}, id="str-subclass-key"),
+        pytest.param([1, 2.5, float("nan"), float("inf"), -float("inf")], id="floats"),
+        pytest.param([[1, True], [0, False]], id="bools-beside-ints"),
+        pytest.param(object(), id="unserializable"),
+        pytest.param({"a": [1, {2, 3}]}, id="nested-set"),
+        pytest.param(self_containing_list(), id="circular"),
+        pytest.param(10**5000, id="int-past-digit-limit"),
+        pytest.param([1, 10**5000], id="int-list-past-digit-limit"),
+    ],
+)
+def test_dumps_canonical_matches_the_stdlib_outside_plain_json(payload):
+    assert outcome(dumps_canonical, payload) == outcome(reference_dumps, payload)
+
+
+def test_dumps_canonical_raises_the_stdlib_errors():
+    with pytest.raises(ValueError, match="Circular reference detected"):
+        dumps_canonical(self_containing_list())
+    with pytest.raises(TypeError, match="not JSON serializable"):
+        dumps_canonical({"a": object()})
+    with pytest.raises(TypeError, match="not supported between instances"):
+        dumps_canonical({1: "a", "b": 2})
+    deep = []
+    for _ in range(5000):
+        deep = [deep]
+    with pytest.raises(RecursionError):
+        dumps_canonical(deep)
