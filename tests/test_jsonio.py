@@ -285,13 +285,7 @@ def test_dumps_canonical_matches_the_stdlib_outside_plain_json(payload):
     assert outcome(dumps_canonical, payload) == outcome(reference_dumps, payload)
 
 
-def test_dumps_canonical_raises_the_stdlib_errors():
-    with pytest.raises(ValueError, match="Circular reference detected"):
-        dumps_canonical(self_containing_list())
-    with pytest.raises(TypeError, match="not JSON serializable"):
-        dumps_canonical({"a": object()})
-    with pytest.raises(TypeError, match="not supported between instances"):
-        dumps_canonical({1: "a", "b": 2})
+def test_dumps_canonical_leaves_a_too_deep_payload_to_the_stdlib():
     deep = []
     for _ in range(5000):
         deep = [deep]
