@@ -11,12 +11,24 @@ Nodal curves are modelled by a smooth cover (the normalization) plus
 side-band node markers: unordered pairs of fibre points that are glued.
 Nodes are never encoded into the permutations themselves.
 
-A cover keeps its orbits in its instance dict once first asked, and
-``total_ramification`` sums a per-entry ramification memoized, like
-the permutation kernel, on the entry's image tuple and bounded at
-``MEMO_SIZE``; ``perm_at`` returns the kernel's shared identity for a
-label the cover is not branched over.  The product relation is still
-checked for every cover.
+A cover keeps its orbits and its components in its instance dict once
+first asked, and ``total_ramification`` sums a per-entry ramification
+memoized, like the permutation kernel, on the entry's image tuple and
+bounded at ``MEMO_SIZE``; ``perm_at`` returns the kernel's shared
+identity for a label the cover is not branched over.
+
+Every cover built from outside data (a decoded document, a sampler's
+candidate, ``induced_cover``) runs every check in ``__post_init__``.
+The one exception is ``BranchedCover._derived``, the trusted
+constructor for a homomorphism image of a cover that was itself
+checked: entries phi(s) of the parent's entries s under a homomorphism
+phi into the symmetric group of ``degree``, in the parent's label
+order, identity images dropped.  Then every check holds by
+construction, the product relation because
+phi(s1)...phi(sn) = phi(s1...sn) = phi(1) = 1.  Its callers are
+``groups.derive``, whose rows are homomorphisms by an exhaustive test
+over the whole group, and ``components``, since restricting the
+monodromy to an invariant orbit is one.
 """
 from __future__ import annotations
 
@@ -49,6 +61,17 @@ class BranchedCover:
                 raise ValueError(f"identity monodromy at {label!r} is forbidden; drop the label")
         if self.monodromy and not product(self.monodromy).is_identity():
             raise ValueError("ordered product of monodromy entries is not the identity")
+
+    @classmethod
+    def _derived(
+        cls, degree: int, labels: tuple[str, ...], monodromy: tuple[Permutation, ...]
+    ) -> "BranchedCover":
+        """The trusted constructor: a homomorphism image of a checked
+        cover, built without ``__post_init__`` (see the module docstring
+        for the contract every caller keeps)."""
+        cover = cls.__new__(cls)
+        cover.__dict__.update(degree=degree, labels=labels, monodromy=monodromy)
+        return cover
 
     @classmethod
     def from_pairs(cls, degree: int, entries: Iterable[tuple[str, Permutation]]) -> "BranchedCover":
@@ -193,11 +216,32 @@ def induced_cover(cover: BranchedCover, points: tuple[tuple[int, ...], ...]) -> 
 
 
 def components(cover: BranchedCover) -> tuple[Component, ...]:
-    """Connected components, ordered by their smallest parent sheet."""
-    return tuple(
-        Component(induced_cover(cover, tuple((s,) for s in orbit)), orbit)
-        for orbit in cover.orbits
-    )
+    """Connected components, ordered by their smallest parent sheet;
+    computed once per cover and kept in its instance dict, like its
+    orbits.
+
+    A component's entries are the parent's restricted to one orbit and
+    renumbered along it (the kernel's memoized ``induced_action`` on the
+    orbit's singletons), with trivial restrictions dropped; a connected
+    cover's one component is a copy, so no cover holds itself.
+    """
+    cached = cover.__dict__.get("components")
+    if cached is None:
+        cached = cover.__dict__["components"] = tuple(_restrict(cover, orbit) for orbit in cover.orbits)
+    return cached
+
+
+def _restrict(cover: BranchedCover, orbit: tuple[int, ...]) -> Component:
+    if len(orbit) == cover.degree:
+        return Component(BranchedCover._derived(cover.degree, cover.labels, cover.monodromy), orbit)
+    points = tuple((sheet,) for sheet in orbit)
+    labels, entries = [], []
+    for label, perm in zip(cover.labels, cover.monodromy):
+        image = induced_action(perm, points)
+        if not image.is_identity():
+            labels.append(label)
+            entries.append(image)
+    return Component(BranchedCover._derived(len(orbit), tuple(labels), tuple(entries)), orbit)
 
 
 @dataclass(frozen=True)

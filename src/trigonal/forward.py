@@ -8,22 +8,19 @@ once is a fixed-point-free involution; its quotient is a degree-4
 (tetragonal) cover, and the parity of the number of exchanged choices
 gives a further degree-2 orientation cover.
 
-Transversals are indexed lexicographically, and ``transversals`` is
-the one source of that index order: blocks are ordered by their
-smallest sheet, each block ascending, and transversal ``t`` corresponds
-to the bit triple of ``t - 1`` (bit set means the larger sheet is
-chosen).  Index 1 is therefore the transversal of all smaller sheets,
-complementing every choice sends ``t`` to ``9 - t``, and the parity
-classes of the orientation cover are counted relative to index 1.  Each
-derived cover is one ``induced_cover`` call on these sets (transversals
-of the tower, then involution and parity classes of the sections
-cover), which raises if a set is not carried onto a set.
+Transversals are indexed as ``groups`` sets out (``transversals``
+lists them in that order): index 1 is the transversal of all smaller
+sheets, complementing every choice sends ``t`` to ``9 - t``, and the
+parity classes of the orientation cover are counted relative to
+index 1.  The sections, quotient and orientation covers are the
+tower's images under three of the block group's homomorphisms, made by
+one ``groups.derive`` pass over the tower's entries from table rows
+that each group element fills once.
 """
 from __future__ import annotations
 
 import dataclasses
 import functools
-import itertools
 from dataclasses import dataclass
 
 from .covers import (
@@ -35,14 +32,22 @@ from .covers import (
     arithmetic_genus,
     components,
     genus,
-    induced_cover,
     label_cycles,
 )
-from .permutation import MEMO_SIZE, Permutation, conjugate, induced_action
+from .groups import (
+    ORIENTATION,
+    PARITY_CLASSES,
+    QUOTIENT,
+    QUOTIENT_CLASSES,
+    SECTION_COUNT,
+    SECTIONS,
+    block_rows,
+    derive,
+    transversal_sheets,
+)
+from .permutation import MEMO_SIZE, Permutation, conjugate
 from .report import CheckReport, CheckResult
 from .towers import ETALE, GENERAL, SPECIAL, BlockSystem, Tower
-
-SECTION_COUNT = 8
 
 
 @dataclass(frozen=True)
@@ -56,24 +61,8 @@ class Transversal:
 def transversals(blocks: BlockSystem) -> tuple[Transversal, ...]:
     """All eight transversals in lexicographic order of their sheet triples."""
     return tuple(
-        Transversal(sheets, t) for t, sheets in enumerate(itertools.product(*blocks), start=1)
+        Transversal(sheets, t) for t, sheets in enumerate(transversal_sheets(blocks), start=1)
     )
-
-
-# involution classes {t, 9 - t}, numbered by their smaller member
-_QUOTIENT_CLASSES = tuple((t, 9 - t) for t in range(1, 5))
-# parity classes: an even, then an odd number of larger sheets chosen
-_PARITY_CLASSES = tuple(
-    tuple(t for t in range(1, SECTION_COUNT + 1) if bin(t - 1).count("1") % 2 == p) for p in (0, 1)
-)
-
-
-def sections_action(perm: Permutation, blocks: BlockSystem) -> Permutation:
-    """The induced permutation of the eight transversals."""
-    if perm.degree != 6:
-        raise ValueError("sections are defined for degree-6 permutations")
-    # the sheet triples of ``transversals``, in its order
-    return induced_action(perm, tuple(itertools.product(*blocks)))
 
 
 def _involution() -> Permutation:
@@ -86,14 +75,6 @@ def _class_map(classes: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
     return tuple(
         c for t in range(1, SECTION_COUNT + 1) for c, cls in enumerate(classes, start=1) if t in cls
     )
-
-
-def _quotient_action(sections: Permutation) -> Permutation:
-    return induced_action(sections, _QUOTIENT_CLASSES)
-
-
-def _orientation_action(sections: Permutation) -> Permutation:
-    return induced_action(sections, _PARITY_CLASSES)
 
 
 @dataclass(frozen=True)
@@ -125,17 +106,17 @@ def construct(tower: Tower) -> ForwardResult:
     flip weight); the sheet maps keep the full correspondence either
     way.  Special towers get their node markers attached.
     """
-    sections = induced_cover(tower.cover, tuple(itertools.product(*tower.blocks)))
-    # a permutation commutes with the free involution exactly when it maps
-    # its orbits onto orbits, so the quotient raises iff they fail to commute
+    sections, quotient, orientation = derive(
+        tower.cover, block_rows(tower.blocks), (SECTIONS, QUOTIENT, ORIENTATION)
+    )
     result = ForwardResult(
         tower=tower,
         sections=sections,
         involution=_involution(),
-        quotient=induced_cover(sections, _QUOTIENT_CLASSES),
-        orientation=induced_cover(sections, _PARITY_CLASSES),
-        to_quotient=_class_map(_QUOTIENT_CLASSES),
-        to_orientation=_class_map(_PARITY_CLASSES),
+        quotient=quotient,
+        orientation=orientation,
+        to_quotient=_class_map(QUOTIENT_CLASSES),
+        to_orientation=_class_map(PARITY_CLASSES),
         nodes=None,
     )
     if tower.mode == SPECIAL:

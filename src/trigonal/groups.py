@@ -1,0 +1,216 @@
+"""The block group and the S4 side, with their images as table rows.
+
+A tower's monodromy lies in W(B3), the 48 permutations of the six
+sheets that carry the three blocks of a ``BlockSystem`` onto blocks.
+Each cover derived from a tower is its image under a fixed
+homomorphism out of that group:
+
+  BLOCK        the action on the three blocks (the trigonal curve), to S3
+  SECTIONS     the action on the eight transversals (the sections curve), to S8
+  QUOTIENT     that action on the involution classes {t, 9 - t}, to S4
+  ORIENTATION  that action on the two parity classes, to S2
+
+On the inverse side S4 acts on the six sheet pairs, to S6, and through
+them on the three pair partitions, to S3.  Transversals are indexed
+lexicographically: blocks in order of their smallest sheet, each block
+ascending, transversal ``t`` choosing the larger sheet where the bit
+triple of ``t - 1`` is set.  So complementing every choice sends ``t``
+to ``9 - t``, and parity counts larger sheets chosen.  Pairs are
+indexed lexicographically and partitions by the partner of sheet 1, so
+the partitions are the blocks (1,6), (2,5), (3,4) of pair indices.
+
+A row holds one group element's images, ``None`` standing for an
+identity image.  Rows are keyed by the element's image tuple, in one
+table per block system (so documents with any blocks work) and one for
+S4.  A row is built on a miss through ``induced_action``, so each image
+is validated when first built; a build that raises stores nothing, so a
+table holds at most its group's order of rows.  Nothing is built at
+import.
+
+``derive`` emits a cover's derived covers in one pass over its entries,
+through ``BranchedCover._derived``, which skips the cover checks: for a
+homomorphism phi, phi(s1)...phi(sn) = phi(s1...sn) = phi(1) = 1, and
+identity images are dropped by construction.  That every column is a
+homomorphism is checked once over the whole group by the exhaustive
+tests (all 48^2 products per block system and column, all 24^2 for
+S4), not per cover.
+"""
+from __future__ import annotations
+
+import itertools
+from dataclasses import dataclass
+from typing import Callable, Iterable, Sequence
+
+from .covers import BranchedCover
+from .permutation import Permutation, induced_action
+
+
+@dataclass(frozen=True)
+class BlockSystem:
+    """Three disjoint pairs partitioning the six sheets, ordered by their
+    smallest sheet; each pair is stored ascending."""
+
+    blocks: tuple[tuple[int, int], tuple[int, int], tuple[int, int]]
+
+    def __post_init__(self) -> None:
+        flat = [s for b in self.blocks for s in b]
+        if sorted(flat) != list(range(1, 7)):
+            raise ValueError(f"blocks must partition 1..6 into three pairs: {self.blocks!r}")
+        canonical = tuple(sorted((tuple(sorted(b)) for b in self.blocks), key=min))
+        object.__setattr__(self, "blocks", canonical)
+
+    @classmethod
+    def from_pairs(cls, pairs: Iterable[Sequence[int]]) -> "BlockSystem":
+        pairs = tuple(tuple(p) for p in pairs)
+        if len(pairs) != 3 or any(len(p) != 2 for p in pairs):
+            raise ValueError(f"expected three pairs, got {pairs!r}")
+        return cls(pairs)  # type: ignore[arg-type]
+
+    def __iter__(self):
+        return iter(self.blocks)
+
+    def __getitem__(self, i: int) -> tuple[int, int]:
+        return self.blocks[i]
+
+    def block_index(self, sheet: int) -> int:
+        """1-based index of the block containing ``sheet``."""
+        for i, block in enumerate(self.blocks):
+            if sheet in block:
+                return i + 1
+        raise ValueError(f"sheet {sheet} outside 1..6")
+
+    def partner(self, sheet: int) -> int:
+        block = self.blocks[self.block_index(sheet) - 1]
+        return block[1] if sheet == block[0] else block[0]
+
+
+SECTION_COUNT = 8
+# involution classes {t, 9 - t}, numbered by their smaller member
+QUOTIENT_CLASSES = tuple((t, 9 - t) for t in range(1, 5))
+# parity classes: an even, then an odd number of larger sheets chosen
+PARITY_CLASSES = tuple(
+    tuple(t for t in range(1, SECTION_COUNT + 1) if bin(t - 1).count("1") % 2 == p) for p in (0, 1)
+)
+PAIRS: tuple[tuple[int, int], ...] = tuple(itertools.combinations(range(1, 5), 2))
+PARTITION_BLOCKS = BlockSystem.from_pairs([(1, 6), (2, 5), (3, 4)])
+
+
+def transversal_sheets(blocks: BlockSystem) -> tuple[tuple[int, int, int], ...]:
+    """The sheet triples of the eight transversals, in index order."""
+    return tuple(itertools.product(*blocks))  # type: ignore[arg-type]
+
+
+def block_action(perm: Permutation, blocks: BlockSystem) -> Permutation:
+    """The induced permutation of the three blocks.
+
+    Raises if ``perm`` does not map blocks to blocks.
+    """
+    if perm.degree != 6:
+        raise ValueError("block action is defined for degree-6 permutations")
+    return induced_action(perm, blocks.blocks)
+
+
+def sections_action(perm: Permutation, blocks: BlockSystem) -> Permutation:
+    """The induced permutation of the eight transversals."""
+    if perm.degree != 6:
+        raise ValueError("sections are defined for degree-6 permutations")
+    return induced_action(perm, transversal_sheets(blocks))
+
+
+def quotient_action(sections: Permutation) -> Permutation:
+    """Induced permutation of the four involution classes; raises unless
+    ``sections`` commutes with the involution."""
+    return induced_action(sections, QUOTIENT_CLASSES)
+
+
+def orientation_action(sections: Permutation) -> Permutation:
+    """Induced permutation of the two parity classes."""
+    return induced_action(sections, PARITY_CLASSES)
+
+
+def pairs_action(perm: Permutation) -> Permutation:
+    """Induced permutation of the six unordered sheet pairs."""
+    if perm.degree != 4:
+        raise ValueError("pairs are formed from degree-4 permutations")
+    return induced_action(perm, PAIRS)
+
+
+def partition_action(perm: Permutation) -> Permutation:
+    """Induced permutation of the three pair partitions."""
+    return block_action(pairs_action(perm), PARTITION_BLOCKS)
+
+
+class Rows(dict):
+    """Image tuple of a group element -> its row of images, built by
+    ``build`` on a miss; ``degrees`` are the columns' target degrees."""
+
+    def __init__(
+        self, degrees: tuple[int, ...], build: Callable[[Permutation], tuple[Permutation, ...]]
+    ):
+        super().__init__()
+        self.degrees = degrees
+        self._build = build
+
+    def __missing__(self, images: tuple[int, ...]) -> tuple[Permutation | None, ...]:
+        row = tuple(None if p.is_identity() else p for p in self._build(Permutation(images)))
+        self[images] = row
+        return row
+
+
+BLOCK, SECTIONS, QUOTIENT, ORIENTATION = range(4)
+_BLOCK_DEGREES = (3, SECTION_COUNT, 4, 2)
+_BLOCK_ROWS: dict[BlockSystem, Rows] = {}
+
+
+def block_rows(blocks: BlockSystem) -> Rows:
+    """The rows of the block group of ``blocks``: block, sections,
+    quotient and orientation images."""
+    rows = _BLOCK_ROWS.get(blocks)
+    if rows is None:
+        rows = _BLOCK_ROWS.setdefault(
+            blocks, Rows(_BLOCK_DEGREES, lambda perm: _block_row(perm, blocks))
+        )
+    return rows
+
+
+def _block_row(perm: Permutation, blocks: BlockSystem) -> tuple[Permutation, ...]:
+    # sections first: an entry tearing the blocks is then reported by the
+    # first transversal it does not carry onto one, as ``induced_cover``
+    # on the transversals reports it
+    sections = sections_action(perm, blocks)
+    return block_action(perm, blocks), sections, quotient_action(sections), orientation_action(sections)
+
+
+def _s4_row(perm: Permutation) -> tuple[Permutation, ...]:
+    pairs = pairs_action(perm)
+    return pairs, block_action(pairs, PARTITION_BLOCKS)
+
+
+# the rows of S4: pairs and partition images
+S4_ROWS = Rows((6, 3), _s4_row)
+
+
+def derive(
+    cover: BranchedCover, rows: Rows, columns: Sequence[int] | None = None
+) -> tuple[BranchedCover, ...]:
+    """The covers with entries the ``columns`` of each entry's row (all
+    columns by default), in one pass over ``cover``'s entries.
+
+    Raises ``ValueError`` naming the first label whose row cannot be
+    built, that is, whose entry is not in the group.
+    """
+    picked = [(c, [], []) for c in (range(len(rows.degrees)) if columns is None else columns)]
+    for label, perm in zip(cover.labels, cover.monodromy):
+        try:
+            row = rows[perm.images]
+        except ValueError as err:
+            raise ValueError(f"monodromy at {label!r}: {err}") from None
+        for column, labels, images in picked:
+            image = row[column]
+            if image is not None:
+                labels.append(label)
+                images.append(image)
+    return tuple(
+        BranchedCover._derived(rows.degrees[c], tuple(labels), tuple(images))
+        for c, labels, images in picked
+    )

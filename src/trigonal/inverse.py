@@ -7,8 +7,9 @@ commuting with it; its three orbits are the pair partitions
 cover.  Pairs are indexed lexicographically and partitions by the
 partner of sheet 1, so the complement swaps pair indices 1/6, 2/5,
 3/4 and the partitions are the blocks (1,6), (2,5), (3,4).  The pairs
-cover and the partition cover are each one ``induced_cover`` call, on
-``PAIRS`` and on those blocks.
+cover and the partition cover are the images of the input under S4's
+pairs and partition homomorphisms, made by one ``groups.derive`` pass
+over its entries from the S4 table rows.
 
 A fibre of the tetragonal cover is classified by its cycle type:
 
@@ -36,7 +37,6 @@ labels (Donagi, "The fibers of the Prym map", 1992).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations
 from typing import Mapping
 
 from .covers import (
@@ -47,25 +47,21 @@ from .covers import (
     arithmetic_genus,
     components,
     genus as cover_genus,
-    induced_cover,
     nodal_isomorphism,
     nodal_isomorphisms,
 )
 from .forward import construct
-from .permutation import Permutation, compose, induced_action
+from .groups import PAIRS, PARTITION_BLOCKS, S4_ROWS, derive
+from .permutation import Permutation, compose
 from .report import CheckReport, CheckResult
 from .towers import (
     ETALE,
     BlockSystem,
     Tower,
     TowerValidationError,
-    block_action,
     flip_points,
     validate_tower,
 )
-
-PAIRS: tuple[tuple[int, int], ...] = tuple(combinations(range(1, 5), 2))
-PARTITION_BLOCKS = BlockSystem.from_pairs([(1, 6), (2, 5), (3, 4)])
 
 STRATUM_M0 = "m0"
 STRATUM_M1 = "m1"
@@ -86,21 +82,9 @@ _TYPE_BY_CYCLES = {
 }
 
 
-def pairs_action(perm: Permutation) -> Permutation:
-    """Induced permutation of the six unordered sheet pairs."""
-    if perm.degree != 4:
-        raise ValueError("pairs are formed from degree-4 permutations")
-    return induced_action(perm, PAIRS)
-
-
 def complement_involution() -> Permutation:
     """Pair complementation, as a permutation of pair indices."""
     return Permutation(tuple(PAIRS.index(tuple(sorted({1, 2, 3, 4} - set(p)))) + 1 for p in PAIRS))
-
-
-def partition_action(perm: Permutation) -> Permutation:
-    """Induced permutation of the three pair partitions."""
-    return block_action(pairs_action(perm), PARTITION_BLOCKS)
 
 
 def classify_fiber(perm: Permutation) -> int:
@@ -166,11 +150,7 @@ def invert(tetragonal: TetragonalCover) -> InverseResult:
     show up as node markers, never as changed permutations.
     """
     source = tetragonal.cover
-    # a permutation commutes with the complement exactly when it maps its
-    # orbits, the partitions, onto orbits, so the partition cover raises
-    # iff they fail to commute
-    pairs_cover = induced_cover(source, PAIRS)
-    trigonal_cover = induced_cover(pairs_cover, PARTITION_BLOCKS.blocks)
+    pairs_cover, trigonal_cover = derive(source, S4_ROWS)
 
     trigonal_nodes: list[tuple[CoverPoint, CoverPoint]] = []
     pairs_nodes: list[tuple[CoverPoint, CoverPoint]] = []

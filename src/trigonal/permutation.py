@@ -11,13 +11,15 @@ The groups acting here are tiny (S3, S4, the 48-element block group in
 S6 and its image in S8), so the kernel is memoized on image tuples:
 ``compose`` on the pair ``(p.images, q.images)``, ``cycles`` on
 ``(images, include_fixed)``, ``is_identity`` on ``images``,
-``induced_action`` on ``(perm, points)``, ``orbits`` on the sorted
-distinct generator images and the degree, and ``Permutation.identity``
-on the degree.  Each memo is an ``lru_cache`` bounded at ``MEMO_SIZE``
-entries, and a call that raises is not stored.  A result is still
-built through ``Permutation``, so validation runs on every cache miss;
-a hit returns the permutation validated when it was first built.  Images must be of type ``int``, so
-equal-but-not-int tuples such as ``(2.0, 1.0)`` never share an entry.
+``induced_action`` on ``(perm, points)`` (it builds the table rows of
+``groups`` and restricts covers to their components), ``orbits`` on the
+sorted distinct generator images and the degree, and
+``Permutation.identity`` on the degree.  Each memo is an ``lru_cache``
+bounded at ``MEMO_SIZE`` entries, and a call that raises is not stored.
+A result is still built through ``Permutation``, so validation runs on
+every cache miss; a hit returns the permutation validated when it was
+first built.  Images must be of type ``int``, so equal-but-not-int
+tuples such as ``(2.0, 1.0)`` never share an entry.
 """
 from __future__ import annotations
 

@@ -163,39 +163,24 @@ def _draw_base(rng: SplitMix64, cfg: SampleConfig, degree: int) -> list[Permutat
 
 
 @functools.lru_cache(maxsize=MEMO_SIZE)
-def _etale_lift_options(action: Permutation) -> tuple[tuple[int, int, int], ...]:
-    """Lift vectors that keep the in-block double cover unramified over
-    every point of the base fibre: zero on fixed blocks, even sum
-    around every cycle."""
-    options = []
+def _etale_lifts(action: Permutation, blocks: BlockSystem) -> tuple[Permutation, ...]:
+    """The lifts of a block action that keep the in-block double cover
+    unramified over every point of the base fibre, ordered by lift vector
+    ``v`` (``v[j]`` set: block ``j + 1``'s smaller sheet goes to the
+    larger one of its image): the lifts whose ``v`` sums to an even
+    number around every block cycle, so is zero on fixed blocks."""
+    lifts = []
     cycles = action.cycles(include_fixed=True)
     for bits in range(8):
         v = ((bits >> 2) & 1, (bits >> 1) & 1, bits & 1)
-        ok = True
-        for cycle in cycles:
-            total = sum(v[b - 1] for b in cycle)
-            if (len(cycle) == 1 and total) or total % 2:
-                ok = False
-                break
-        if ok:
-            options.append(v)
-    return tuple(options)
-
-
-@functools.lru_cache(maxsize=MEMO_SIZE)
-def _lift(action: Permutation, v: tuple[int, int, int], blocks: BlockSystem) -> Permutation:
-    images = [0] * 6
-    for j in range(3):
-        for pos in range(2):
-            sheet = blocks[j][pos]
-            images[sheet - 1] = blocks[action(j + 1) - 1][pos ^ v[j]]
-    return Permutation(tuple(images))
-
-
-def _lift_vector(perm: Permutation, action: Permutation, blocks: BlockSystem) -> tuple[int, int, int]:
-    return tuple(
-        0 if perm(blocks[j][0]) == blocks[action(j + 1) - 1][0] else 1 for j in range(3)
-    )  # type: ignore[return-value]
+        if any(sum(v[b - 1] for b in cycle) % 2 for cycle in cycles):
+            continue
+        images = [0] * 6
+        for j in range(3):
+            for pos in range(2):
+                images[blocks[j][pos] - 1] = blocks[action(j + 1) - 1][pos ^ v[j]]
+        lifts.append(Permutation(tuple(images)))
+    return tuple(lifts)
 
 
 def _flip(blocks_to_flip: Sequence[int], blocks: BlockSystem) -> Permutation:
@@ -234,14 +219,11 @@ def sample_tower(cfg: SampleConfig) -> Tower:
         else:
             flips = []
 
-        lifts = []
-        for action in base[:-1]:
-            options = _etale_lift_options(action)
-            lifts.append(_lift(action, rng.choice(options), blocks))
+        lifts = [rng.choice(_etale_lifts(action, blocks)) for action in base[:-1]]
         # the block action is a homomorphism and flips act trivially on
         # blocks, so the solved lift acts on blocks as base[-1]
         last = _solve_last(lifts, flips, 6)
-        if _lift_vector(last, base[-1], blocks) not in _etale_lift_options(base[-1]):
+        if last not in _etale_lifts(base[-1], blocks):
             continue
         lifts.append(last)
 

@@ -7,15 +7,19 @@ where the block action is trivial but sheets swap inside a block are
 the "flip" labels; the double cover is ramified exactly at the flipped
 blocks.  A tower is Etale (no flips), General (two flips over distinct
 labels) or Special (one label flipping two of its three blocks).
+
+``BlockSystem`` and ``block_action`` live in ``groups``, with the block
+group's table rows; the trigonal curve is the row lookup of each entry.
 """
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
-from .covers import BranchedCover, CoverPoint, genus, induced_cover
-from .permutation import MEMO_SIZE, Permutation, induced_action
+from .covers import BranchedCover, CoverPoint, genus
+from .groups import BLOCK, BlockSystem, block_action, block_rows, derive
+from .permutation import MEMO_SIZE, Permutation
 
 ETALE = "etale"
 GENERAL = "general"
@@ -23,55 +27,6 @@ SPECIAL = "special"
 MODES = (ETALE, GENERAL, SPECIAL)
 
 MIN_GENUS = 3
-
-
-@dataclass(frozen=True)
-class BlockSystem:
-    """Three disjoint pairs partitioning the six sheets, ordered by their
-    smallest sheet; each pair is stored ascending."""
-
-    blocks: tuple[tuple[int, int], tuple[int, int], tuple[int, int]]
-
-    def __post_init__(self) -> None:
-        flat = [s for b in self.blocks for s in b]
-        if sorted(flat) != list(range(1, 7)):
-            raise ValueError(f"blocks must partition 1..6 into three pairs: {self.blocks!r}")
-        canonical = tuple(sorted((tuple(sorted(b)) for b in self.blocks), key=min))
-        object.__setattr__(self, "blocks", canonical)
-
-    @classmethod
-    def from_pairs(cls, pairs: Iterable[Sequence[int]]) -> "BlockSystem":
-        pairs = tuple(tuple(p) for p in pairs)
-        if len(pairs) != 3 or any(len(p) != 2 for p in pairs):
-            raise ValueError(f"expected three pairs, got {pairs!r}")
-        return cls(pairs)  # type: ignore[arg-type]
-
-    def __iter__(self):
-        return iter(self.blocks)
-
-    def __getitem__(self, i: int) -> tuple[int, int]:
-        return self.blocks[i]
-
-    def block_index(self, sheet: int) -> int:
-        """1-based index of the block containing ``sheet``."""
-        for i, block in enumerate(self.blocks):
-            if sheet in block:
-                return i + 1
-        raise ValueError(f"sheet {sheet} outside 1..6")
-
-    def partner(self, sheet: int) -> int:
-        block = self.blocks[self.block_index(sheet) - 1]
-        return block[1] if sheet == block[0] else block[0]
-
-
-def block_action(perm: Permutation, blocks: BlockSystem) -> Permutation:
-    """The induced permutation of the three blocks.
-
-    Raises if ``perm`` does not map blocks to blocks.
-    """
-    if perm.degree != 6:
-        raise ValueError("block action is defined for degree-6 permutations")
-    return induced_action(perm, blocks.blocks)
 
 
 def flip_points(cover: BranchedCover, blocks: BlockSystem) -> tuple[CoverPoint, ...]:
@@ -150,15 +105,18 @@ def validate_tower(cover: BranchedCover, blocks: BlockSystem) -> Tower:
     if cover.degree != 6:
         raise TowerValidationError([f"tower cover must have degree 6, got {cover.degree}"])
 
-    for label, perm in cover.entries():
-        try:
-            block_action(perm, blocks)
-        except ValueError as err:
-            errors.append(f"monodromy at {label!r} does not preserve the blocks: {err}")
-    if errors:
-        raise TowerValidationError(errors)
+    try:
+        # one row lookup per entry; a row builds exactly when the entry
+        # preserves the blocks
+        (trigonal,) = derive(cover, block_rows(blocks), (BLOCK,))
+    except ValueError:
+        for label, perm in cover.entries():
+            try:
+                block_action(perm, blocks)
+            except ValueError as err:
+                errors.append(f"monodromy at {label!r} does not preserve the blocks: {err}")
+        raise TowerValidationError(errors) from None
 
-    trigonal = induced_cover(cover, blocks.blocks)
     if not cover.is_connected():
         errors.append("degree-6 cover is disconnected")
     if not trigonal.is_connected():

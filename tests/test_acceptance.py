@@ -18,7 +18,7 @@ from trigonal import (
     spread_configs,
 )
 from trigonal.coefficients import chain_report
-from trigonal.forward import _quotient_action
+from trigonal.groups import quotient_action
 from trigonal.jsonio import (
     batch_report_to_dict,
     chain_rows_to_dict,
@@ -178,7 +178,7 @@ def test_criterion_5_fibre_dictionary(capsys):
     # weight-1 flip upstairs and on the quotient
     act = sections_action(Permutation((2, 1, 3, 4, 5, 6)), CANONICAL_BLOCKS)
     checks.append(act.cycle_type() == (2, 2, 2, 2))
-    checks.append(_quotient_action(act).cycle_type() == (2, 2))
+    checks.append(quotient_action(act).cycle_type() == (2, 2))
 
     # tetragonal classification
     checks.append(classify_fiber(Permutation.from_cycles(4, [(1, 2), (3, 4)])) == 4)

@@ -54,27 +54,27 @@ def test_block_three_cycle_lifts_to_two_triple_points():
 
 def test_single_flip_acts_freely_on_transversals():
     # weight-1 flip: profile (2,2,2,2) upstairs, (2,2) on the quotient
-    from trigonal.forward import _quotient_action
+    from trigonal.groups import quotient_action
 
     action = sections_action(Permutation((2, 1, 3, 4, 5, 6)), CANONICAL_BLOCKS)
     assert action.cycle_type() == (2, 2, 2, 2)
-    assert _quotient_action(action).cycle_type() == (2, 2)
+    assert quotient_action(action).cycle_type() == (2, 2)
 
 
 def test_weight_two_flip_acts_freely_and_survives_the_quotient():
-    from trigonal.forward import _quotient_action
+    from trigonal.groups import quotient_action
 
     action = sections_action(Permutation((2, 1, 4, 3, 5, 6)), CANONICAL_BLOCKS)
     assert action.cycle_type() == (2, 2, 2, 2)
-    assert _quotient_action(action).cycle_type() == (2, 2)
+    assert quotient_action(action).cycle_type() == (2, 2)
 
 
 def test_weight_three_flip_is_the_involution():
-    from trigonal.forward import _quotient_action
+    from trigonal.groups import quotient_action
 
     action = sections_action(Permutation((2, 1, 4, 3, 6, 5)), CANONICAL_BLOCKS)
     assert action.images == (8, 7, 6, 5, 4, 3, 2, 1)
-    assert _quotient_action(action).is_identity()
+    assert quotient_action(action).is_identity()
 
 
 def test_sections_action_is_a_homomorphism_on_the_fixture():
@@ -97,13 +97,14 @@ def test_sections_action_commutes_with_the_involution_on_the_block_group():
 
 
 def test_quotient_action_rejects_a_permutation_not_commuting_with_the_involution():
-    from trigonal.forward import _involution, _quotient_action
+    from trigonal.forward import _involution
+    from trigonal.groups import quotient_action
 
     involution = _involution()
     swap = Permutation.from_cycles(8, [(1, 2)])
     assert compose(swap, involution) != compose(involution, swap)
     with pytest.raises(ValueError, match="not a point"):
-        _quotient_action(swap)
+        quotient_action(swap)
 
 
 def test_sections_action_moves_transversals_as_sheet_sets():

@@ -1,0 +1,272 @@
+"""The block-group and S4 table rows: homomorphisms on the whole group,
+equal to the per-cover induced covers they replace, and bounded by the
+group orders."""
+import itertools
+import json
+
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from trigonal import (
+    BlockSystem,
+    BranchedCover,
+    Permutation,
+    TetragonalCover,
+    TowerValidationError,
+    components,
+    construct,
+    induced_cover,
+    invert,
+    sample_tetragonal,
+    sample_tower,
+    validate_tower,
+)
+from trigonal.batch import SUITE_MODES, spread_configs
+from trigonal.cli import main
+from trigonal.groups import (
+    PAIRS,
+    PARITY_CLASSES,
+    PARTITION_BLOCKS,
+    QUOTIENT_CLASSES,
+    S4_ROWS,
+    block_rows,
+    transversal_sheets,
+)
+from trigonal.jsonio import (
+    cover_from_dict,
+    cover_with_blocks_to_dict,
+    tetragonal_from_dict,
+    tower_from_dict,
+)
+from trigonal.sampling import SAMPLE_M0, SampleConfig
+
+from conftest import CANONICAL_BLOCKS, FIXTURES, S4, product_one_tuples
+
+S6 = tuple(map(Permutation, itertools.permutations(range(1, 7))))
+
+
+def _pairings(sheets):
+    if not sheets:
+        yield ()
+        return
+    for partner in sheets[1:]:
+        for rest in _pairings([s for s in sheets[1:] if s != partner]):
+            yield ((sheets[0], partner),) + rest
+
+
+BLOCK_SYSTEMS = tuple(BlockSystem(pairs) for pairs in _pairings(list(range(1, 7))))
+
+
+def _images(entry, degree):
+    return tuple(range(1, degree + 1)) if entry is None else entry.images
+
+
+def _compose(a, b):
+    # apply a first, then b
+    return tuple(b[i - 1] for i in a)
+
+
+def _preserves(perm, blocks):
+    return {frozenset(map(perm, b)) for b in blocks} == {frozenset(b) for b in blocks}
+
+
+def test_there_are_fifteen_block_systems():
+    assert len(set(BLOCK_SYSTEMS)) == 15
+
+
+@pytest.mark.parametrize("blocks", BLOCK_SYSTEMS, ids=lambda b: str(b.blocks))
+def test_block_rows_are_homomorphisms_on_the_whole_group(blocks):
+    rows = block_rows(blocks)
+    group = []
+    for p in S6:  # every non-member fails to build and leaves no row
+        if _preserves(p, blocks):
+            group.append(p.images)
+            rows[p.images]
+        else:
+            with pytest.raises(ValueError, match="not a point"):
+                rows[p.images]
+    assert len(group) == 48
+    assert len(rows) == 48
+    for a, b in itertools.product(group, repeat=2):
+        ab = rows[_compose(a, b)]
+        for column, degree in enumerate(rows.degrees):
+            assert _images(ab[column], degree) == _compose(
+                _images(rows[a][column], degree), _images(rows[b][column], degree)
+            )
+    assert len(rows) == 48
+
+
+def test_s4_rows_are_homomorphisms_on_the_whole_group():
+    for p in S4:
+        S4_ROWS[p.images]
+    assert len(S4_ROWS) == 24
+    for a, b in itertools.product(S4, repeat=2):
+        ab = S4_ROWS[_compose(a.images, b.images)]
+        for column, degree in enumerate(S4_ROWS.degrees):
+            assert _images(ab[column], degree) == _compose(
+                _images(S4_ROWS[a.images][column], degree), _images(S4_ROWS[b.images][column], degree)
+            )
+    for wrong in (Permutation((2, 1, 3)), Permutation((2, 1, 3, 4, 5))):
+        with pytest.raises(ValueError, match="degree-4"):
+            S4_ROWS[wrong.images]
+    assert len(S4_ROWS) == 24
+
+
+# -- derived covers equal the fully checked induced covers ---------------------
+
+def _same(derived, reference):
+    """``reference`` came through ``BranchedCover(...)``; the derived cover
+    equals it and passes the same checks when rebuilt through them."""
+    assert derived == reference
+    assert BranchedCover(derived.degree, derived.labels, derived.monodromy) == derived
+
+
+def _check_components(cover):
+    parts = components(cover)
+    assert tuple(p.sheets for p in parts) == cover.orbits
+    for part in parts:
+        _same(part.cover, induced_cover(cover, tuple((s,) for s in part.sheets)))
+    assert components(cover) is parts
+
+
+@given(product_one_tuples(3, 3), product_one_tuples(3, 4), st.permutations(range(1, 8)))
+def test_components_equal_induced_covers_on_disjoint_unions(left, right, sheets):
+    # each entry moves the sheets of one part only, so every component
+    # drops the labels of the other
+    def place(perm, part):
+        images = list(range(1, 8))
+        for i, image in enumerate(perm.images):
+            images[part[i] - 1] = part[image - 1]
+        return Permutation(tuple(images))
+
+    entries = [(f"a{i}", place(p, sheets[:3])) for i, p in enumerate(left)]
+    entries += [(f"b{i}", place(p, sheets[3:])) for i, p in enumerate(right)]
+    cover = BranchedCover.from_pairs(7, sorted(entries, key=lambda e: e[0][1:]))
+    _check_components(cover)
+
+
+def _check_tetragonal(tetragonal):
+    result = invert(tetragonal)
+    pairs = induced_cover(tetragonal.cover, PAIRS)
+    _same(result.pairs_cover, pairs)
+    _same(result.trigonal_cover, induced_cover(pairs, PARTITION_BLOCKS.blocks))
+    return result
+
+
+def _check_tower(tower):
+    _same(tower.trigonal, induced_cover(tower.cover, tower.blocks.blocks))
+    result = construct(tower)
+    sections = induced_cover(tower.cover, transversal_sheets(tower.blocks))
+    _same(result.sections, sections)
+    _same(result.quotient, induced_cover(sections, QUOTIENT_CLASSES))
+    _same(result.orientation, induced_cover(sections, PARITY_CLASSES))
+    for cover in (tower.cover, tower.trigonal, result.sections, result.quotient):
+        _check_components(cover)
+    _check_tetragonal(TetragonalCover(result.quotient))
+
+
+def _check_m0(tetragonal):
+    result = _check_tetragonal(tetragonal)
+    _check_tower(validate_tower(result.pairs_cover, PARTITION_BLOCKS))
+
+
+@pytest.mark.parametrize("suite", sorted(SUITE_MODES))
+def test_derived_covers_equal_induced_covers_over_the_suites(suite):
+    for cfg in spread_configs(suite, 60, 11, 3, 8):
+        if cfg.mode == SAMPLE_M0:
+            _check_m0(sample_tetragonal(cfg))
+        else:
+            _check_tower(sample_tower(cfg))
+
+
+def _fixture(name):
+    return json.loads((FIXTURES / name).read_text())
+
+
+def test_derived_covers_equal_induced_covers_on_the_fixtures():
+    for name in ("tower_etale_g3.json", "tower_general_g3.json", "tower_special_g3.json"):
+        _check_tower(tower_from_dict(_fixture(name)))
+    _check_m0(tetragonal_from_dict(_fixture("tetragonal_m0_g2.json")))
+
+    forward = _fixture("forward_special_g3.json")
+    tower = tower_from_dict(forward["tower"])
+    _check_tower(tower)
+    result = construct(tower)
+    for field, cover in (
+        ("sections_cover", result.sections),
+        ("quotient_cover", result.quotient),
+        ("orientation_cover", result.orientation),
+    ):
+        _same(cover, cover_from_dict(forward[field]))
+
+    inverse = _fixture("inverse_m0_g2.json")
+    result = invert(tetragonal_from_dict(inverse["source"]))
+    _same(result.pairs_cover, cover_from_dict(inverse["pairs_cover"]))
+    _same(result.trigonal_cover, cover_from_dict(inverse["trigonal_cover"]))
+    _check_tower(validate_tower(result.pairs_cover, BlockSystem.from_pairs(inverse["blocks"])))
+
+    pinned = _fixture("batch_pinned.json")
+    for instance in pinned["instances"]:
+        cfg = SampleConfig(genus=instance["genus"], mode=instance["mode"], seed=instance["seed"])
+        _check_tower(sample_tower(cfg))
+
+
+def test_derived_covers_equal_induced_covers_for_other_block_systems():
+    special = _fixture("tower_special_g3.json")
+    special["blocks"] = [[2, 1], [4, 3], [6, 5]]
+    tower = tower_from_dict(special)
+    assert tower.blocks == CANONICAL_BLOCKS
+    _check_tower(tower)
+    # the same towers relabelled onto every other pairing of the sheets
+    for name in ("tower_etale_g3.json", "tower_general_g3.json", "tower_special_g3.json"):
+        tower = tower_from_dict(_fixture(name))
+        for blocks in BLOCK_SYSTEMS:
+            rho = dict(zip(itertools.chain(*CANONICAL_BLOCKS), itertools.chain(*blocks)))
+            moved = BranchedCover.from_pairs(
+                6,
+                (
+                    (label, Permutation(tuple(rho[p(s)] for s in sorted(rho, key=rho.get))))
+                    for label, p in tower.cover.entries()
+                ),
+            )
+            relabelled = validate_tower(moved, blocks)
+            assert (relabelled.mode, relabelled.genus) == (tower.mode, tower.genus)
+            _check_tower(relabelled)
+
+
+# -- a cover outside the group still lists every failing label ------------------
+
+SWAP_23 = Permutation((1, 3, 2, 4, 5, 6))  # tears the blocks (1,2) and (3,4)
+TORN_ERRORS = [
+    "monodromy at 'h03' does not preserve the blocks: point (1, 2) maps to (1, 3), which is not a point",
+    "monodromy at 'h04' does not preserve the blocks: point (1, 2) maps to (1, 3), which is not a point",
+]
+
+
+def _torn_document():
+    """The etale fixture with two adjacent block-tearing entries, which
+    multiply to the identity, after its second entry."""
+    entries = [p for _, p in tower_from_dict(_fixture("tower_etale_g3.json")).cover.entries()]
+    entries[2:2] = [SWAP_23, SWAP_23]
+    return BranchedCover.from_pairs(6, ((f"h{i:02d}", p) for i, p in enumerate(entries, start=1)))
+
+
+def test_entries_outside_the_block_group_are_all_listed_in_label_order():
+    cover = _torn_document()
+    rows = block_rows(CANONICAL_BLOCKS)
+    before = len(rows)
+    for _ in range(2):
+        with pytest.raises(TowerValidationError) as err:
+            validate_tower(cover, CANONICAL_BLOCKS)
+        assert err.value.errors == TORN_ERRORS
+    assert len(rows) == before <= 48
+
+
+def test_validate_prints_every_torn_label_and_exits_1(tmp_path, capsys):
+    doc = tmp_path / "torn.json"
+    doc.write_text(json.dumps(cover_with_blocks_to_dict(_torn_document(), CANONICAL_BLOCKS)))
+    assert main(["validate", "--in", str(doc)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "".join(f"invalid: {line}\n" for line in TORN_ERRORS)

@@ -16,9 +16,9 @@ from trigonal import (
     product,
     sections_action,
 )
-from trigonal import covers, forward, sampling, towers
+from trigonal import covers, forward, groups, sampling, towers
 from trigonal.batch import SUITES, run_batch, spread_configs
-from trigonal.forward import _orientation_action, _quotient_action
+from trigonal.groups import orientation_action, quotient_action
 from trigonal.permutation import MEMO_SIZE, _compose, _cycles, _identity, _is_identity, _orbits
 
 from conftest import BLOCK_GROUP, CANONICAL_BLOCKS, S4, permutations
@@ -161,8 +161,8 @@ def test_induced_action_memo_is_bounded_by_the_group_orders():
         for p in BLOCK_GROUP:
             block_action(p, CANONICAL_BLOCKS)
             sections = sections_action(p, CANONICAL_BLOCKS)
-            _quotient_action(sections)
-            _orientation_action(sections)
+            quotient_action(sections)
+            orientation_action(sections)
         for p in S4:
             partition_action(p)
     # one entry per group element and point tuple: the block group acts on
@@ -181,8 +181,7 @@ MEMOS = (
     covers._ramification,
     towers._flip_pattern,
     forward._square_breaks,
-    sampling._etale_lift_options,
-    sampling._lift,
+    sampling._etale_lifts,
 )
 S6 = tuple(map(Permutation, itertools.permutations(range(1, 7))))
 
@@ -303,3 +302,7 @@ def test_memos_stay_far_below_their_bound_over_the_five_suites():
         info = memo.cache_info()
         assert info.maxsize == MEMO_SIZE
         assert 0 < info.currsize <= MEMO_SIZE // 4, (memo.__name__, info)
+    # the table rows are bounded by the group orders instead
+    assert 0 < len(groups.block_rows(CANONICAL_BLOCKS)) <= 48
+    assert 0 < len(groups.block_rows(groups.PARTITION_BLOCKS)) <= 48
+    assert 0 < len(groups.S4_ROWS) <= 24
