@@ -42,7 +42,10 @@ from .towers import ETALE, SPECIAL, TowerValidationError
 
 def _read_json(path: str) -> dict:
     text = sys.stdin.read() if path == "-" else Path(path).read_text()
-    return json.loads(text)
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise ValueError("document nested too deeply to parse") from None
 
 
 def _emit(text: str, out: str | None) -> None:

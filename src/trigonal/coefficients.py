@@ -18,16 +18,15 @@ values are reported so the discrepancy stays visible.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 
-@lru_cache(maxsize=None)
 def _factorial(n: int) -> int:
     if n < 0:
         raise ValueError(f"factorial of negative {n}")
-    return 1 if n <= 1 else n * _factorial(n - 1)
+    return math.factorial(n)
 
 
 def gen_binomial(a: int, k: int) -> int:

@@ -11,11 +11,11 @@ Nodal curves are modelled by a smooth cover (the normalization) plus
 side-band node markers: unordered pairs of fibre points that are glued.
 Nodes are never encoded into the permutations themselves.
 
-A cover keeps its orbits and its components in its instance dict once
-first asked, and ``total_ramification`` sums a per-entry ramification
-memoized, like the permutation kernel, on the entry's image tuple and
-bounded at ``MEMO_SIZE``; ``perm_at`` returns the kernel's shared
-identity for a label the cover is not branched over.
+A cover keeps its orbits, its components and its label -> entry dict
+in its instance dict once first asked, and ``total_ramification`` sums
+a per-entry ramification memoized, like the permutation kernel, on the
+entry's image tuple and bounded at ``MEMO_SIZE``; ``perm_at`` returns
+the kernel's shared identity for a label the cover is not branched over.
 
 Every cover built from outside data (a decoded document, a sampler's
 candidate, ``induced_cover``) runs every check in ``__post_init__``.
@@ -80,10 +80,11 @@ class BranchedCover:
 
     def perm_at(self, label: str) -> Permutation:
         """Monodromy at ``label``; identity if the label is not a branch label."""
-        try:
-            return self.monodromy[self.labels.index(label)]
-        except ValueError:
-            return Permutation.identity(self.degree)
+        by_label = self.__dict__.get("by_label")
+        if by_label is None:
+            by_label = self.__dict__["by_label"] = dict(zip(self.labels, self.monodromy))
+        perm = by_label.get(label)
+        return Permutation.identity(self.degree) if perm is None else perm
 
     def entries(self) -> tuple[tuple[str, Permutation], ...]:
         return tuple(zip(self.labels, self.monodromy))

@@ -12,10 +12,12 @@ Transversals are indexed as ``groups`` sets out (``transversals``
 lists them in that order): index 1 is the transversal of all smaller
 sheets, complementing every choice sends ``t`` to ``9 - t``, and the
 parity classes of the orientation cover are counted relative to
-index 1.  The sections, quotient and orientation covers are the
-tower's images under three of the block group's homomorphisms, made by
-one ``groups.derive`` pass over the tower's entries from table rows
-that each group element fills once.
+index 1.  So the involution and both sheet maps are the same for every
+tower: ``construct`` returns the ``groups`` constants.  The sections,
+quotient and orientation covers are the tower's images under three of
+the block group's homomorphisms, made by one ``groups.derive`` pass
+over the tower's entries from table rows that each group element
+fills once.
 """
 from __future__ import annotations
 
@@ -35,19 +37,20 @@ from .covers import (
     label_cycles,
 )
 from .groups import (
+    INVOLUTION,
     ORIENTATION,
-    PARITY_CLASSES,
     QUOTIENT,
-    QUOTIENT_CLASSES,
     SECTION_COUNT,
     SECTIONS,
+    TO_ORIENTATION,
+    TO_QUOTIENT,
     block_rows,
     derive,
     transversal_sheets,
 )
 from .permutation import MEMO_SIZE, Permutation, conjugate
 from .report import CheckReport, CheckResult
-from .towers import ETALE, GENERAL, SPECIAL, BlockSystem, Tower
+from .towers import ETALE, GENERAL, SPECIAL, BlockSystem, Tower, flip_weights
 
 
 @dataclass(frozen=True)
@@ -62,18 +65,6 @@ def transversals(blocks: BlockSystem) -> tuple[Transversal, ...]:
     """All eight transversals in lexicographic order of their sheet triples."""
     return tuple(
         Transversal(sheets, t) for t, sheets in enumerate(transversal_sheets(blocks), start=1)
-    )
-
-
-def _involution() -> Permutation:
-    # complement every choice: index t maps to 9 - t
-    return Permutation(tuple(9 - t for t in range(1, SECTION_COUNT + 1)))
-
-
-def _class_map(classes: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
-    """The number of the class holding each transversal index."""
-    return tuple(
-        c for t in range(1, SECTION_COUNT + 1) for c, cls in enumerate(classes, start=1) if t in cls
     )
 
 
@@ -112,11 +103,11 @@ def construct(tower: Tower) -> ForwardResult:
     result = ForwardResult(
         tower=tower,
         sections=sections,
-        involution=_involution(),
+        involution=INVOLUTION,
         quotient=quotient,
         orientation=orientation,
-        to_quotient=_class_map(QUOTIENT_CLASSES),
-        to_orientation=_class_map(PARITY_CLASSES),
+        to_quotient=TO_QUOTIENT,
+        to_orientation=TO_ORIENTATION,
         nodes=None,
     )
     if tower.mode == SPECIAL:
@@ -326,11 +317,7 @@ def _shared_checks(result: ForwardResult) -> list[CheckResult]:
         diagram.extend(f"{square} square breaks at {label}/{t}" for square, t in breaks)
     checks.append(CheckResult("diagram-commutes", not diagram, "; ".join(diagram[:4])))
 
-    odd_weight = {
-        label
-        for label in tower.flip_labels()
-        if sum(1 for p in tower.flips if p.label == label) % 2 == 1
-    }
+    odd_weight = {label for label, weight in flip_weights(tower.flips).items() if weight % 2}
     checks.append(
         CheckResult(
             "orientation-branching",

@@ -19,13 +19,19 @@ to ``9 - t``, and parity counts larger sheets chosen.  Pairs are
 indexed lexicographically and partitions by the partner of sheet 1, so
 the partitions are the blocks (1,6), (2,5), (3,4) of pair indices.
 
+The involution t -> 9 - t, the sheet maps onto the involution and
+parity classes, and the pair complement are constants beside the
+classes that are their orbits or fibres.
+
 A row holds one group element's images, ``None`` standing for an
-identity image.  Rows are keyed by the element's image tuple, in one
-table per block system (so documents with any blocks work) and one for
-S4.  A row is built on a miss through ``induced_action``, so each image
-is validated when first built; a build that raises stores nothing, so a
-table holds at most its group's order of rows.  Nothing is built at
-import.
+identity image; a block row then holds the element's flip pattern,
+which is no image: it is outside ``Rows.degrees``, so ``derive`` and
+the homomorphism tests never read it.  Rows are keyed by the element's
+image tuple, in one table per block system (so documents with any
+blocks work) and one for S4.  A row is built on a miss through
+``induced_action``, so each image is validated when first built; a
+build that raises stores nothing, so a table holds at most its group's
+order of rows.  No row is built at import.
 
 ``derive`` emits a cover's derived covers in one pass over its entries,
 through ``BranchedCover._derived``, which skips the cover checks: for a
@@ -91,8 +97,15 @@ QUOTIENT_CLASSES = tuple((t, 9 - t) for t in range(1, 5))
 PARITY_CLASSES = tuple(
     tuple(t for t in range(1, SECTION_COUNT + 1) if bin(t - 1).count("1") % 2 == p) for p in (0, 1)
 )
+INVOLUTION = Permutation.from_cycles(SECTION_COUNT, QUOTIENT_CLASSES)
+# the sheet maps to the quotient and orientation covers: each transversal's class
+TO_QUOTIENT, TO_ORIENTATION = (
+    tuple(c for t in range(1, SECTION_COUNT + 1) for c, cls in enumerate(classes, start=1) if t in cls)
+    for classes in (QUOTIENT_CLASSES, PARITY_CLASSES)
+)
 PAIRS: tuple[tuple[int, int], ...] = tuple(itertools.combinations(range(1, 5), 2))
 PARTITION_BLOCKS = BlockSystem.from_pairs([(1, 6), (2, 5), (3, 4)])
+COMPLEMENT = Permutation.from_cycles(len(PAIRS), PARTITION_BLOCKS)
 
 
 def transversal_sheets(blocks: BlockSystem) -> tuple[tuple[int, int, int], ...]:
@@ -141,30 +154,30 @@ def partition_action(perm: Permutation) -> Permutation:
 
 
 class Rows(dict):
-    """Image tuple of a group element -> its row of images, built by
-    ``build`` on a miss; ``degrees`` are the columns' target degrees."""
+    """Image tuple of a group element -> its row, built by ``build`` on a
+    miss; ``degrees`` are the target degrees of the leading columns."""
 
-    def __init__(
-        self, degrees: tuple[int, ...], build: Callable[[Permutation], tuple[Permutation, ...]]
-    ):
+    def __init__(self, degrees: tuple[int, ...], build: Callable[[Permutation], tuple]):
         super().__init__()
         self.degrees = degrees
         self._build = build
 
-    def __missing__(self, images: tuple[int, ...]) -> tuple[Permutation | None, ...]:
-        row = tuple(None if p.is_identity() else p for p in self._build(Permutation(images)))
+    def __missing__(self, images: tuple[int, ...]) -> tuple:
+        built = self._build(Permutation(images))
+        n = len(self.degrees)
+        row = tuple(None if p.is_identity() else p for p in built[:n]) + built[n:]
         self[images] = row
         return row
 
 
-BLOCK, SECTIONS, QUOTIENT, ORIENTATION = range(4)
+BLOCK, SECTIONS, QUOTIENT, ORIENTATION, FLIPS = range(5)
 _BLOCK_DEGREES = (3, SECTION_COUNT, 4, 2)
 _BLOCK_ROWS: dict[BlockSystem, Rows] = {}
 
 
 def block_rows(blocks: BlockSystem) -> Rows:
     """The rows of the block group of ``blocks``: block, sections,
-    quotient and orientation images."""
+    quotient and orientation images, then the flip pattern."""
     rows = _BLOCK_ROWS.get(blocks)
     if rows is None:
         rows = _BLOCK_ROWS.setdefault(
@@ -173,12 +186,18 @@ def block_rows(blocks: BlockSystem) -> Rows:
     return rows
 
 
-def _block_row(perm: Permutation, blocks: BlockSystem) -> tuple[Permutation, ...]:
+def _block_row(perm: Permutation, blocks: BlockSystem) -> tuple:
     # sections first: an entry tearing the blocks is then reported by the
     # first transversal it does not carry onto one, as ``induced_cover``
     # on the transversals reports it
     sections = sections_action(perm, blocks)
-    return block_action(perm, blocks), sections, quotient_action(sections), orientation_action(sections)
+    block = block_action(perm, blocks)
+    flips = []
+    for block_cycle in block.cycles(include_fixed=True):
+        upstairs = perm.cycle_through(min(s for bi in block_cycle for s in blocks[bi - 1]))
+        if len(upstairs) != len(block_cycle):
+            flips.append((block_cycle, upstairs))
+    return block, sections, quotient_action(sections), orientation_action(sections), tuple(flips)
 
 
 def _s4_row(perm: Permutation) -> tuple[Permutation, ...]:

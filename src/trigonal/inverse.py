@@ -6,10 +6,11 @@ commuting with it; its three orbits are the pair partitions
 ``{12|34}``, ``{13|24}``, ``{14|23}``, which underlie a degree-3
 cover.  Pairs are indexed lexicographically and partitions by the
 partner of sheet 1, so the complement swaps pair indices 1/6, 2/5,
-3/4 and the partitions are the blocks (1,6), (2,5), (3,4).  The pairs
-cover and the partition cover are the images of the input under S4's
-pairs and partition homomorphisms, made by one ``groups.derive`` pass
-over its entries from the S4 table rows.
+3/4 (the constant ``groups.COMPLEMENT``) and the partitions are the
+blocks (1,6), (2,5), (3,4).  The pairs cover and the partition cover
+are the images of the input under S4's pairs and partition
+homomorphisms, made by one ``groups.derive`` pass over its entries
+from the S4 table rows.
 
 A fibre of the tetragonal cover is classified by its cycle type:
 
@@ -51,7 +52,7 @@ from .covers import (
     nodal_isomorphisms,
 )
 from .forward import construct
-from .groups import PAIRS, PARTITION_BLOCKS, S4_ROWS, derive
+from .groups import COMPLEMENT, PARTITION_BLOCKS, S4_ROWS, derive
 from .permutation import Permutation, compose
 from .report import CheckReport, CheckResult
 from .towers import (
@@ -60,6 +61,7 @@ from .towers import (
     Tower,
     TowerValidationError,
     flip_points,
+    flip_weights,
     validate_tower,
 )
 
@@ -84,7 +86,7 @@ _TYPE_BY_CYCLES = {
 
 def complement_involution() -> Permutation:
     """Pair complementation, as a permutation of pair indices."""
-    return Permutation(tuple(PAIRS.index(tuple(sorted({1, 2, 3, 4} - set(p)))) + 1 for p in PAIRS))
+    return COMPLEMENT
 
 
 def classify_fiber(perm: Permutation) -> int:
@@ -190,7 +192,7 @@ def invert(tetragonal: TetragonalCover) -> InverseResult:
     return InverseResult(
         source=tetragonal,
         pairs_cover=pairs_cover,
-        complement=complement_involution(),
+        complement=COMPLEMENT,
         blocks=PARTITION_BLOCKS,
         trigonal_cover=trigonal_cover,
         fiber_types=types,
@@ -223,11 +225,11 @@ def expected_inverse(tower: Tower) -> GluedTower:
     twist is trivial for etale and special towers.
     """
     tau = Permutation.from_cycles(6, tower.blocks)
-    weights = [p.label for p in tower.flips]
+    weights = flip_weights(tower.flips)
     twisted = BranchedCover.from_pairs(
         6,
         (
-            (label, compose(perm, tau) if weights.count(label) % 2 else perm)
+            (label, compose(perm, tau) if weights[label] % 2 else perm)
             for label, perm in tower.cover.entries()
         ),
     )

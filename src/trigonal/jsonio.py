@@ -35,7 +35,7 @@ from .forward import ForwardResult
 from .inverse import InverseResult, TetragonalCover
 from .permutation import Permutation
 from .report import CheckReport
-from .towers import BlockSystem, Tower, validate_tower
+from .towers import BlockSystem, Tower, TowerValidationError, validate_tower
 
 
 _escape = json.encoder.encode_basestring_ascii
@@ -165,7 +165,19 @@ def tower_to_dict(tower: Tower) -> dict:
     return cover_with_blocks_to_dict(tower.cover, tower.blocks)
 
 
+def _declared_degree(payload: Any) -> int:
+    """The document's degree if it is an integer, else 0; the decoder
+    reports a missing or ill-typed one."""
+    degree = payload.get("degree") if isinstance(payload, Mapping) else None
+    return degree if type(degree) is int else 0
+
+
 def tower_from_dict(payload: Mapping) -> Tower:
+    degree = _declared_degree(payload)
+    if degree > 6:
+        # refused before a permutation of that degree is built, with
+        # the message ``validate_tower`` gives
+        raise TowerValidationError([f"tower cover must have degree 6, got {degree}"])
     cover = cover_from_dict(payload)
     if "blocks" not in payload:
         raise ValueError("tower document needs a blocks field")
@@ -180,6 +192,10 @@ def tower_from_dict(payload: Mapping) -> Tower:
 
 
 def tetragonal_from_dict(payload: Mapping) -> TetragonalCover:
+    degree = _declared_degree(payload)
+    if degree > 4:
+        # as in ``tower_from_dict``, with the message ``TetragonalCover`` gives
+        raise ValueError(f"tetragonal cover must have degree 4, got {degree}")
     return TetragonalCover(cover_from_dict(payload))
 
 

@@ -10,7 +10,7 @@ the identity".
 The groups acting here are tiny (S3, S4, the 48-element block group in
 S6 and its image in S8), so the kernel is memoized on image tuples:
 ``compose`` on the pair ``(p.images, q.images)``, ``cycles`` on
-``(images, include_fixed)``, ``is_identity`` on ``images``,
+``(images, include_fixed)``, ``is_identity`` and ``inverse`` on ``images``,
 ``induced_action`` on ``(perm, points)`` (it builds the table rows of
 ``groups`` and restricts covers to their components), ``orbits`` on the
 sorted distinct generator images and the degree, and
@@ -84,10 +84,7 @@ class Permutation:
         return _is_identity(self.images)
 
     def inverse(self) -> "Permutation":
-        images = [0] * self.degree
-        for i, img in enumerate(self.images):
-            images[img - 1] = i + 1
-        return Permutation(tuple(images))
+        return _inverse(self.images)
 
     def cycles(self, include_fixed: bool = False) -> tuple[tuple[int, ...], ...]:
         """Cycle decomposition, each cycle starting at its smallest sheet,
@@ -119,6 +116,14 @@ class Permutation:
 @functools.lru_cache(maxsize=MEMO_SIZE)
 def _identity(degree: int) -> Permutation:
     return Permutation(tuple(range(1, degree + 1)))
+
+
+@functools.lru_cache(maxsize=MEMO_SIZE)
+def _inverse(images: tuple[int, ...]) -> Permutation:
+    inverse = [0] * len(images)
+    for i, img in enumerate(images, start=1):
+        inverse[img - 1] = i
+    return Permutation(tuple(inverse))
 
 
 @functools.lru_cache(maxsize=MEMO_SIZE)

@@ -9,17 +9,17 @@ blocks.  A tower is Etale (no flips), General (two flips over distinct
 labels) or Special (one label flipping two of its three blocks).
 
 ``BlockSystem`` and ``block_action`` live in ``groups``, with the block
-group's table rows; the trigonal curve is the row lookup of each entry.
+group's table rows; the trigonal curve and the flip points are read
+from each entry's row.
 """
 from __future__ import annotations
 
-import functools
+from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence
 
 from .covers import BranchedCover, CoverPoint, genus
-from .groups import BLOCK, BlockSystem, block_action, block_rows, derive
-from .permutation import MEMO_SIZE, Permutation
+from .groups import BLOCK, FLIPS, BlockSystem, block_action, block_rows, derive
 
 ETALE = "etale"
 GENERAL = "general"
@@ -38,9 +38,10 @@ def flip_points(cover: BranchedCover, blocks: BlockSystem) -> tuple[CoverPoint, 
     or two l-cycles (it is not); no other pattern can occur for a
     block-preserving permutation, and any other is rejected.
     """
+    rows = block_rows(blocks)
     out = []
     for label, perm in cover.entries():
-        for block_cycle, upstairs in _flip_pattern(perm, blocks):
+        for block_cycle, upstairs in rows[perm.images][FLIPS]:
             if len(upstairs) != 2 * len(block_cycle):
                 raise ValueError(
                     f"impossible block pattern at {label!r}: cycle {upstairs!r} over {block_cycle!r}"
@@ -49,21 +50,10 @@ def flip_points(cover: BranchedCover, blocks: BlockSystem) -> tuple[CoverPoint, 
     return tuple(out)
 
 
-@functools.lru_cache(maxsize=MEMO_SIZE)
-def _flip_pattern(
-    perm: Permutation, blocks: BlockSystem
-) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
-    """Each cycle of the block action whose sheets do not split into two
-    cycles of its length, with the upstairs cycle through its smallest
-    sheet, in block-cycle order.  Memoized on ``(perm, blocks)``: the
-    block group has 48 elements."""
-    out = []
-    for block_cycle in block_action(perm, blocks).cycles(include_fixed=True):
-        first = min(s for bi in block_cycle for s in blocks[bi - 1])
-        upstairs = perm.cycle_through(first)
-        if len(upstairs) != len(block_cycle):
-            out.append((block_cycle, upstairs))
-    return tuple(out)
+def flip_weights(flips: Sequence[CoverPoint]) -> Counter[str]:
+    """The number of blocks flipping at each label (0 where none does),
+    flip labels in the order of ``flips``."""
+    return Counter(p.label for p in flips)
 
 
 @dataclass(frozen=True)
@@ -77,11 +67,7 @@ class Tower:
     warnings: tuple[str, ...] = ()
 
     def flip_labels(self) -> tuple[str, ...]:
-        seen: list[str] = []
-        for p in self.flips:
-            if p.label not in seen:
-                seen.append(p.label)
-        return tuple(seen)
+        return tuple(flip_weights(self.flips))
 
 
 class TowerValidationError(ValueError):
@@ -134,9 +120,9 @@ def validate_tower(cover: BranchedCover, blocks: BlockSystem) -> Tower:
             errors.append(
                 f"double-cover ramification over {p.label!r} where the block action is non-trivial"
             )
+    weights = flip_weights(flips)
     for label in sorted(trivial_action):
-        weight = sum(1 for p in flips if p.label == label)
-        if weight == 3:
+        if weights[label] == 3:
             errors.append(f"all three blocks flip at {label!r}; at most two may")
     if len(flips) not in (0, 2):
         errors.append(f"expected 0 or 2 double-cover ramification points, found {len(flips)}")

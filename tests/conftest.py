@@ -100,10 +100,26 @@ def _preserves_blocks(perm, blocks):
     return {frozenset(map(perm, b)) for b in blocks} == {frozenset(b) for b in blocks}
 
 
-# the 48-element group of degree-6 permutations preserving CANONICAL_BLOCKS
-BLOCK_GROUP = tuple(
-    p
-    for p in map(Permutation, itertools.permutations(range(1, 7)))
-    if _preserves_blocks(p, CANONICAL_BLOCKS)
-)
+S6 = tuple(map(Permutation, itertools.permutations(range(1, 7))))
+
+
+def block_group(blocks):
+    """The 48 degree-6 permutations preserving ``blocks``."""
+    return tuple(p for p in S6 if _preserves_blocks(p, blocks))
+
+
+BLOCK_GROUP = block_group(CANONICAL_BLOCKS)
+
+
+def _pairings(sheets):
+    if not sheets:
+        yield ()
+        return
+    for partner in sheets[1:]:
+        for rest in _pairings([s for s in sheets[1:] if s != partner]):
+            yield ((sheets[0], partner),) + rest
+
+
+# the fifteen ways to pair the six sheets into blocks
+BLOCK_SYSTEMS = tuple(BlockSystem(pairs) for pairs in _pairings(list(range(1, 7))))
 S4 = tuple(map(Permutation, itertools.permutations(range(1, 5))))

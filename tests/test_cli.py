@@ -289,3 +289,53 @@ def test_roundtrip_rejects_a_tower_of_another_mode(capsys):
     assert code == 2
     assert out == ""
     assert err == "error: round trip needs a special tower, mode is 'general'\n"
+
+
+IN_COMMANDS = [
+    ("validate", 1, "invalid: "),
+    ("construct", 2, "error: "),
+    ("classify", 2, "error: "),
+    ("invert", 2, "error: "),
+]
+
+
+@pytest.mark.parametrize("command, code, prefix", IN_COMMANDS, ids=[c[0] for c in IN_COMMANDS])
+def test_a_too_deeply_nested_document_prints_one_line(tmp_path, capsys, command, code, prefix):
+    doc = tmp_path / "deep.json"
+    doc.write_text("[" * 100_000 + "]" * 100_000)
+    status, out, err = run(capsys, command, "--in", str(doc))
+    assert status == code
+    assert out == ""
+    assert err == f"{prefix}document nested too deeply to parse\n"
+
+
+@pytest.mark.parametrize(
+    "fixture, message",
+    [
+        ("tower_general_g3.json", "tower cover must have degree 6, got 3000000"),
+        ("tetragonal_m0_g2.json", "tetragonal cover must have degree 4, got 3000000"),
+    ],
+    ids=["tower", "tetragonal"],
+)
+def test_a_large_declared_degree_is_refused_before_any_permutation(
+    tmp_path, capsys, monkeypatch, fixture, message
+):
+    def refuse(*_):
+        raise AssertionError("a permutation was built")
+
+    monkeypatch.setattr("trigonal.jsonio.perm_from_cycles", refuse)
+    document = json.loads((FIXTURES / fixture).read_text())
+    document["degree"] = 3_000_000
+    doc = tmp_path / "large.json"
+    doc.write_text(json.dumps(document))
+    commands = IN_COMMANDS[:2] if fixture.startswith("tower") else IN_COMMANDS[2:]
+    for command, code, prefix in commands:
+        status, out, err = run(capsys, command, "--in", str(doc))
+        assert (status, out, err) == (code, "", f"{prefix}{message}\n"), command
+
+
+def test_verify_coefficients_at_a_large_genus(capsys):
+    code, out, err = run(capsys, "verify-coefficients", "--gmin", "700", "--gmax", "700")
+    assert code == 0
+    assert out.splitlines()[2].startswith("| 700 | 1 | 1 | ")
+    assert err.startswith("elapsed: ")

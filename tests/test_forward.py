@@ -88,19 +88,17 @@ def test_sections_action_is_a_homomorphism_on_the_fixture():
 
 
 def test_sections_action_commutes_with_the_involution_on_the_block_group():
-    from trigonal.forward import _involution
+    from trigonal.groups import INVOLUTION as involution
 
-    involution = _involution()
     for p in BLOCK_GROUP:
         action = sections_action(p, CANONICAL_BLOCKS)
         assert compose(action, involution) == compose(involution, action)
 
 
 def test_quotient_action_rejects_a_permutation_not_commuting_with_the_involution():
-    from trigonal.forward import _involution
+    from trigonal.groups import INVOLUTION as involution
     from trigonal.groups import quotient_action
 
-    involution = _involution()
     swap = Permutation.from_cycles(8, [(1, 2)])
     assert compose(swap, involution) != compose(involution, swap)
     with pytest.raises(ValueError, match="not a point"):

@@ -41,21 +41,7 @@ from trigonal.jsonio import (
 )
 from trigonal.sampling import SAMPLE_M0, SampleConfig
 
-from conftest import CANONICAL_BLOCKS, FIXTURES, S4, product_one_tuples
-
-S6 = tuple(map(Permutation, itertools.permutations(range(1, 7))))
-
-
-def _pairings(sheets):
-    if not sheets:
-        yield ()
-        return
-    for partner in sheets[1:]:
-        for rest in _pairings([s for s in sheets[1:] if s != partner]):
-            yield ((sheets[0], partner),) + rest
-
-
-BLOCK_SYSTEMS = tuple(BlockSystem(pairs) for pairs in _pairings(list(range(1, 7))))
+from conftest import BLOCK_SYSTEMS, CANONICAL_BLOCKS, FIXTURES, S4, S6, product_one_tuples
 
 
 def _images(entry, degree):

@@ -1,4 +1,7 @@
+import functools
+import importlib
 import itertools
+import pkgutil
 import random
 
 import pytest
@@ -16,10 +19,19 @@ from trigonal import (
     product,
     sections_action,
 )
-from trigonal import covers, forward, groups, sampling, towers
+import trigonal
+from trigonal import covers, forward, groups, sampling
 from trigonal.batch import SUITES, run_batch, spread_configs
 from trigonal.groups import orientation_action, quotient_action
-from trigonal.permutation import MEMO_SIZE, _compose, _cycles, _identity, _is_identity, _orbits
+from trigonal.permutation import (
+    MEMO_SIZE,
+    _compose,
+    _cycles,
+    _identity,
+    _inverse,
+    _is_identity,
+    _orbits,
+)
 
 from conftest import BLOCK_GROUP, CANONICAL_BLOCKS, S4, permutations
 
@@ -175,11 +187,11 @@ MEMOS = (
     _compose,
     _cycles,
     _identity,
+    _inverse,
     _is_identity,
     _orbits,
     induced_action,
     covers._ramification,
-    towers._flip_pattern,
     forward._square_breaks,
     sampling._etale_lifts,
 )
@@ -219,6 +231,28 @@ def test_memoized_cycle_data_matches_a_reference_on_all_of_s6():
                 sorted(map(len, _reference_cycles(p.images, True)), reverse=True)
             )
             assert p.is_identity() == (p.images == identity)
+
+
+def test_memoized_inverse_matches_the_tuple_formula_on_all_of_s6():
+    identity = tuple(range(1, 7))
+    for _ in range(2):  # the second pass reads the memo
+        for p in S6:
+            inverse = p.inverse()
+            assert type(inverse) is Permutation
+            assert inverse.images == tuple(p.images.index(i) + 1 for i in identity)
+            assert compose(p, inverse).is_identity()
+
+
+def test_memos_are_every_lru_cache_in_the_package():
+    found = set()
+    for info in pkgutil.iter_modules(trigonal.__path__):
+        module = importlib.import_module(f"trigonal.{info.name}")
+        for value in vars(module).values():
+            if isinstance(value, functools._lru_cache_wrapper) and value.__module__ == module.__name__:
+                found.add(value)
+    assert found == set(MEMOS)
+    for memo in MEMOS:
+        assert memo.cache_info().maxsize == MEMO_SIZE, memo.__name__
 
 
 def test_orbits_ignore_repeated_and_reordered_generators():
