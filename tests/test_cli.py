@@ -310,15 +310,15 @@ def test_a_too_deeply_nested_document_prints_one_line(tmp_path, capsys, command,
 
 
 @pytest.mark.parametrize(
-    "fixture, message",
+    "fixture, commands, message",
     [
-        ("tower_general_g3.json", "tower cover must have degree 6, got 3000000"),
-        ("tetragonal_m0_g2.json", "tetragonal cover must have degree 4, got 3000000"),
+        ("tower_general_g3.json", IN_COMMANDS[:2], "tower cover must have degree 6, got 3000000"),
+        ("tetragonal_m0_g2.json", IN_COMMANDS[2:], "tetragonal cover must have degree 4, got 3000000"),
     ],
     ids=["tower", "tetragonal"],
 )
 def test_a_large_declared_degree_is_refused_before_any_permutation(
-    tmp_path, capsys, monkeypatch, fixture, message
+    tmp_path, capsys, monkeypatch, fixture, commands, message
 ):
     def refuse(*_):
         raise AssertionError("a permutation was built")
@@ -328,7 +328,6 @@ def test_a_large_declared_degree_is_refused_before_any_permutation(
     document["degree"] = 3_000_000
     doc = tmp_path / "large.json"
     doc.write_text(json.dumps(document))
-    commands = IN_COMMANDS[:2] if fixture.startswith("tower") else IN_COMMANDS[2:]
     for command, code, prefix in commands:
         status, out, err = run(capsys, command, "--in", str(doc))
         assert (status, out, err) == (code, "", f"{prefix}{message}\n"), command

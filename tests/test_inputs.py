@@ -59,7 +59,7 @@ def _drop(draw, doc, paths):
     return doc
 
 
-def _replace(draw, doc, path, value):
+def _replace(doc, path, value):
     if not path:
         return value
     _at(doc, path[:-1])[path[-1]] = value
@@ -70,12 +70,12 @@ def _wrong_type(draw, doc, paths):
     path = draw(st.sampled_from(paths))
     old = _at(doc, path)
     value = draw(st.sampled_from([v for v in (0, "x", 1.5, None, [], {}) if type(v) is not type(old)]))
-    return _replace(draw, doc, path, value)
+    return _replace(doc, path, value)
 
 
 def _bool_for_int(draw, doc, paths):
     path = _pick(draw, [p for p in paths if _is_int(_at(doc, p))])
-    return _replace(draw, doc, path, draw(st.booleans()))
+    return _replace(doc, path, draw(st.booleans()))
 
 
 def _sheet_out_of_range(draw, doc, paths):
@@ -83,7 +83,7 @@ def _sheet_out_of_range(draw, doc, paths):
         p for p in paths if _is_int(_at(doc, p)) and ("monodromy" in p or "blocks" in p)
     ]
     path = _pick(draw, sheets)
-    return _replace(draw, doc, path, draw(st.sampled_from([0, -1, 7, 9, 10**6])))
+    return _replace(doc, path, draw(st.sampled_from([0, -1, 7, 9, 10**6])))
 
 
 def _duplicate_label(draw, doc, paths):
@@ -96,7 +96,7 @@ def _duplicate_label(draw, doc, paths):
 
 def _large_degree(draw, doc, paths):
     path = _pick(draw, [p for p in paths if p and p[-1] == "degree"])
-    return _replace(draw, doc, path, draw(st.sampled_from([7, 10**6, 3_000_000, 10**12])))
+    return _replace(doc, path, draw(st.sampled_from([7, 10**6, 3_000_000, 10**12])))
 
 
 MUTATIONS = (
