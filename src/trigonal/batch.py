@@ -8,6 +8,7 @@ measured but deliberately excluded from the canonical serialization.
 """
 from __future__ import annotations
 
+import os
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -163,7 +164,8 @@ def run_batch(suite: str, configs: Sequence[SampleConfig], jobs: int = 1) -> Bat
         return InstanceResult(index, cfg.genus, cfg.mode, cfg.seed, checks)
 
     numbered = list(enumerate(configs))
-    shares = max(1, min(jobs, len(numbered)))  # no thread without an instance
+    # no thread without an instance, nor more threads than CPUs
+    shares = max(1, min(jobs, len(numbered), os.cpu_count() or 1))
 
     def run_share(share: int) -> list[InstanceResult]:
         return [run_one(pair) for pair in numbered[share::shares]]

@@ -104,6 +104,9 @@ class ChainRow:
 
 def chain_report(gmax: int, gmin: int = 3) -> tuple[ChainRow, ...]:
     """Exact per-genus rows for ``gmin <= g <= gmax``, both normalizations."""
+    if gmin < 3:
+        # before any row, so no binomial below genus 3 answers first
+        raise ValueError(f"the chain is evaluated for genus >= 3, got {gmin}")
     if gmax < gmin:
         raise ValueError(f"empty genus range {gmin}..{gmax}")
     rows = []

@@ -17,15 +17,17 @@ A fibre of the tetragonal cover is classified by its cycle type:
   1. unbranched            - never stored, identity entries are dropped
   2. one transposition     - simple ramification downstairs and upstairs
   3. one 3-cycle           - one point of multiplicity three on each level
-  4. two transpositions    - the degree-3 curve acquires a node plus a
-                             smooth point; the two partitions whose pair
-                             preimages fuse into single 2-cycles are
-                             glued, and their preimage points upstairs
-                             are glued as well
-  5. one 4-cycle           - a node with exactly one ramified branch:
-                             the length-2 partition point is glued to
-                             the fixed partition carrying a 2-cycle of
-                             pairs, with the matching gluing upstairs
+  4. two transpositions    - two fixed partitions each carry a 2-cycle
+                             of pairs: a node plus a smooth point
+  5. one 4-cycle           - a transposed partition pair under a 4-cycle
+                             of pairs, and a fixed partition under a
+                             2-cycle: a node with one ramified branch
+
+Types 4 and 5 are exactly the fibres where the pairs cover, a tower
+over the partitions, ramifies over the partition cover, and it does
+so in two points.  ``_glue_flips`` glues them, and their cycles of
+pairs upstairs, as it glues a twisted tower's flip points in
+``expected_inverse``: one rule for both directions.
 
 Node markers stay side-band data on the normalizations, which is what
 lets the smooth machinery keep running underneath.
@@ -52,7 +54,7 @@ from .covers import (
     nodal_isomorphisms,
 )
 from .forward import construct
-from .groups import COMPLEMENT, PARTITION_BLOCKS, S4_ROWS, derive
+from .groups import COMPLEMENT, FLIPS, PARTITION_BLOCKS, S4_ROWS, block_rows, derive
 from .permutation import Permutation, compose
 from .report import CheckReport, CheckResult
 from .towers import (
@@ -60,7 +62,6 @@ from .towers import (
     BlockSystem,
     Tower,
     TowerValidationError,
-    flip_points,
     flip_weights,
     validate_tower,
 )
@@ -145,59 +146,48 @@ class InverseResult:
     pairs_model: NodalCoverModel
 
 
+def _glue_flips(
+    cover: BranchedCover, trigonal: BranchedCover, blocks: BlockSystem
+) -> tuple[NodalCoverModel, NodalCoverModel]:
+    """``trigonal`` and ``cover`` as nodal curves, glued at the flip points.
+
+    ``cover`` is a tower over ``blocks`` with block-action curve
+    ``trigonal``.  Each label must carry 0 or 2 flip points: the two
+    block cycles are glued downstairs, their upstairs cycles upstairs,
+    the longer block cycle first.
+    """
+    rows = block_rows(blocks)
+    lower: list[tuple[CoverPoint, CoverPoint]] = []
+    upper: list[tuple[CoverPoint, CoverPoint]] = []
+    for label, perm in cover.entries():
+        flips = rows[perm.images][FLIPS]
+        if not flips:
+            continue
+        if len(flips) != 2:
+            raise AssertionError(f"{len(flips)} flip points at {label!r}; a node glues two")
+        (a, up_a), (b, up_b) = sorted(flips, key=lambda flip: -len(flip[0]))
+        lower.append((CoverPoint(label, a), CoverPoint(label, b)))
+        upper.append((CoverPoint(label, up_a), CoverPoint(label, up_b)))
+    return NodalCoverModel(trigonal, tuple(lower)), NodalCoverModel(cover, tuple(upper))
+
+
 def invert(tetragonal: TetragonalCover) -> InverseResult:
     """Pairs cover, partition cover and the node markers they carry.
 
     Every connected degree-4 cover is accepted; degenerate fibres only
     show up as node markers, never as changed permutations.
     """
-    source = tetragonal.cover
-    pairs_cover, trigonal_cover = derive(source, S4_ROWS)
-
-    trigonal_nodes: list[tuple[CoverPoint, CoverPoint]] = []
-    pairs_nodes: list[tuple[CoverPoint, CoverPoint]] = []
-    types: dict[str, int] = {}
-    for label, perm in source.entries():
-        fiber = classify_fiber(perm)
-        types[label] = fiber
-        induced = pairs_cover.perm_at(label)
-        if fiber == FIBER_DOUBLE_DOUBLE:
-            # partitions whose two pairs fuse into a single 2-cycle glue
-            glued = [q for q in range(1, 4) if len(induced.cycle_through(PARTITION_BLOCKS[q - 1][0])) == 2]
-            if len(glued) != 2:
-                raise AssertionError(f"type 4 fibre at {label!r} without two fused partitions")
-            trigonal_nodes.append(
-                (CoverPoint(label, (glued[0],)), CoverPoint(label, (glued[1],)))
-            )
-            pairs_nodes.append(
-                (
-                    CoverPoint(label, induced.cycle_through(PARTITION_BLOCKS[glued[0] - 1][0])),
-                    CoverPoint(label, induced.cycle_through(PARTITION_BLOCKS[glued[1] - 1][0])),
-                )
-            )
-        elif fiber == FIBER_QUADRUPLE:
-            action = trigonal_cover.perm_at(label)
-            moved = action.cycles()
-            if len(moved) != 1 or len(moved[0]) != 2:
-                raise AssertionError(f"type 5 fibre at {label!r} without a partition transposition")
-            (fixed,) = tuple(q for q in range(1, 4) if action(q) == q)
-            trigonal_nodes.append((CoverPoint(label, moved[0]), CoverPoint(label, (fixed,))))
-            pairs_nodes.append(
-                (
-                    CoverPoint(label, induced.cycle_through(PARTITION_BLOCKS[moved[0][0] - 1][0])),
-                    CoverPoint(label, induced.cycle_through(PARTITION_BLOCKS[fixed - 1][0])),
-                )
-            )
-
+    pairs_cover, trigonal_cover = derive(tetragonal.cover, S4_ROWS)
+    trigonal_model, pairs_model = _glue_flips(pairs_cover, trigonal_cover, PARTITION_BLOCKS)
     return InverseResult(
         source=tetragonal,
         pairs_cover=pairs_cover,
         complement=COMPLEMENT,
         blocks=PARTITION_BLOCKS,
         trigonal_cover=trigonal_cover,
-        fiber_types=types,
-        trigonal_model=NodalCoverModel(trigonal_cover, tuple(trigonal_nodes)),
-        pairs_model=NodalCoverModel(pairs_cover, tuple(pairs_nodes)),
+        fiber_types=tetragonal.fiber_types(),
+        trigonal_model=trigonal_model,
+        pairs_model=pairs_model,
     )
 
 
@@ -233,14 +223,7 @@ def expected_inverse(tower: Tower) -> GluedTower:
             for label, perm in tower.cover.entries()
         ),
     )
-    # flip points come label by label, two per flip label
-    flips = flip_points(twisted, tower.blocks)
-    trigonal_nodes = tuple(zip(flips[::2], flips[1::2]))
-    double_nodes = tuple(
-        tuple(CoverPoint(p.label, tower.blocks[p.cycle[0] - 1]) for p in pair) for pair in trigonal_nodes
-    )
-    trigonal_model = NodalCoverModel(tower.trigonal, trigonal_nodes)
-    double_model = NodalCoverModel(twisted, double_nodes)
+    trigonal_model, double_model = _glue_flips(twisted, tower.trigonal, tower.blocks)
     pa = arithmetic_genus(trigonal_model)
     if pa != tower.genus + len(tower.flip_labels()):
         raise AssertionError("glued trigonal curve has the wrong arithmetic genus")

@@ -122,12 +122,25 @@ def cover_to_dict(cover: BranchedCover) -> dict:
     }
 
 
-def cover_from_dict(payload: Mapping) -> BranchedCover:
+_COVER_KEYS = ("degree", "branch_points")
+_POINT_KEYS = ("label", "monodromy")
+
+
+def _refuse_unknown_keys(where: str, payload: Mapping, known: Sequence[str]) -> None:
+    # the published schemas set additionalProperties to false: a key the
+    # decoder would skip is a key its writer expects to mean something
+    for key in payload:
+        if key not in known:
+            raise ValueError(f"{where}: unknown key {json.dumps(key)}")
+
+
+def cover_from_dict(payload: Mapping, keys: Sequence[str] = _COVER_KEYS) -> BranchedCover:
     try:
         degree = payload["degree"]
         points = payload["branch_points"]
     except (KeyError, TypeError) as err:
         raise ValueError(f"cover document needs degree and branch_points: {err}") from None
+    _refuse_unknown_keys("document", payload, keys)
     if not isinstance(degree, int) or isinstance(degree, bool):
         raise ValueError(f"degree must be an integer, got {degree!r}")
     if not isinstance(points, list):
@@ -137,16 +150,23 @@ def cover_from_dict(payload: Mapping) -> BranchedCover:
         where = f"branch_points[{i}]"
         if not isinstance(point, Mapping):
             raise ValueError(f"{where}: expected an object, got {point!r}")
-        for key in ("label", "monodromy"):
+        for key in _POINT_KEYS:
             if key not in point:
                 raise ValueError(f'{where}: missing "{key}"')
+        _refuse_unknown_keys(where, point, _POINT_KEYS)
         label, cycles = point["label"], point["monodromy"]
         if not isinstance(label, str):
             raise ValueError(f"{where}.label: expected a string, got {label!r}")
+        if not label:
+            raise ValueError(f"{where}.label: expected a non-empty string")
         if not isinstance(cycles, list) or not all(
             isinstance(c, list) and all(type(s) is int for s in c) for c in cycles
         ):
             raise ValueError(f"{where}.monodromy: expected lists of integer sheets, got {cycles!r}")
+        for cycle in cycles:
+            if len(cycle) < 2:
+                # fixed sheets are left unlisted, as the schemas require
+                raise ValueError(f"{where}.monodromy: a cycle needs two or more sheets, got {cycle!r}")
         entries.append((label, perm_from_cycles(degree, cycles)))
     return BranchedCover.from_pairs(degree, entries)
 
@@ -178,7 +198,7 @@ def tower_from_dict(payload: Mapping) -> Tower:
         # refused before a permutation of that degree is built, with
         # the message ``validate_tower`` gives
         raise TowerValidationError([f"tower cover must have degree 6, got {degree}"])
-    cover = cover_from_dict(payload)
+    cover = cover_from_dict(payload, _COVER_KEYS + ("blocks",))
     if "blocks" not in payload:
         raise ValueError("tower document needs a blocks field")
     blocks = payload["blocks"]

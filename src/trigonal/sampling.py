@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .covers import BranchedCover
-from .inverse import STRATUM_M0, TetragonalCover, classify_fiber
+from .inverse import STRATUM_M0, TetragonalCover
 from .permutation import MEMO_SIZE, Permutation, compose, orbits, product
 from .towers import (
     GENERAL,

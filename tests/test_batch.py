@@ -56,11 +56,10 @@ def test_reports_are_byte_identical_across_thread_counts():
     assert serialized[1] == serialized[2] == serialized[4]
 
 
-@pytest.mark.parametrize(
-    "count, jobs, workers, shares",
-    [(3, 6, 2, [1, 1]), (3, 2, 1, [1]), (5, 3, 2, [2, 1]), (1, 4, None, []), (0, 4, None, [])],
-)
-def test_the_pool_starts_no_worker_without_an_instance(monkeypatch, count, jobs, workers, shares):
+def _check_pool(monkeypatch, count, jobs, cpus, workers, shares):
+    """Run ``count`` instances at ``jobs`` on ``cpus`` CPUs with a pool
+    that records the workers it is asked for and the size of each share
+    it is handed, running every share in the calling thread."""
     started, submitted = [], []
 
     class RecordingExecutor:
@@ -82,10 +81,32 @@ def test_the_pool_starts_no_worker_without_an_instance(monkeypatch, count, jobs,
     cfgs = spread_configs("general-props", count, 33, 3, 8)
     expected = dumps_canonical(batch_report_to_dict(run_batch("general-props", cfgs)))
     monkeypatch.setattr(batch, "ThreadPoolExecutor", RecordingExecutor)
+    monkeypatch.setattr(batch.os, "cpu_count", lambda: cpus)
     report = run_batch("general-props", cfgs, jobs=jobs)
     assert started == ([] if workers is None else [workers])
     assert submitted == shares
     assert dumps_canonical(batch_report_to_dict(report)) == expected
+
+
+@pytest.mark.parametrize(
+    "count, jobs, workers, shares",
+    [(3, 6, 2, [1, 1]), (3, 2, 1, [1]), (5, 3, 2, [2, 1]), (1, 4, None, []), (0, 4, None, [])],
+)
+def test_the_pool_starts_no_worker_without_an_instance(monkeypatch, count, jobs, workers, shares):
+    _check_pool(monkeypatch, count, jobs, 8, workers, shares)
+
+
+@pytest.mark.parametrize(
+    "count, jobs, cpus, workers, shares",
+    [
+        (6, 5000, 3, 2, [2, 2]),
+        (5, 5000, 2, 1, [2]),
+        (4, 2, 1, None, []),
+        (4, 2, None, None, []),  # os.cpu_count() may not know
+    ],
+)
+def test_the_pool_starts_no_more_shares_than_cpus(monkeypatch, count, jobs, cpus, workers, shares):
+    _check_pool(monkeypatch, count, jobs, cpus, workers, shares)
 
 
 @pytest.mark.parametrize("index", [0, 1, 3])

@@ -222,8 +222,30 @@ def test_rejected_input_prints_one_error_line_and_exits_2(tmp_path, capsys):
         ),
         ({"degree": 4, "branch_points": 5}, "branch_points must be a list"),
         ({"degree": True, "branch_points": []}, "degree must be an integer"),
+        ({"degree": 4, "branch_points": [], "genus": 2}, 'document: unknown key "genus"'),
+        (
+            {"degree": 4, "branch_points": [{"label": "b1", "monodromy": [[1, 2]], "x": 0}]},
+            'branch_points[0]: unknown key "x"',
+        ),
+        (
+            {"degree": 4, "branch_points": [{"label": "", "monodromy": [[1, 2]]}]},
+            "branch_points[0].label: expected a non-empty string",
+        ),
+        (
+            {"degree": 4, "branch_points": [{"label": "b1", "monodromy": [[1, 2], [3]]}]},
+            "branch_points[0].monodromy: a cycle needs two or more sheets, got [3]",
+        ),
     ],
-    ids=["missing-label", "string-sheet", "branch-points-not-a-list", "boolean-degree"],
+    ids=[
+        "missing-label",
+        "string-sheet",
+        "branch-points-not-a-list",
+        "boolean-degree",
+        "unknown-top-level-key",
+        "unknown-branch-point-key",
+        "empty-label",
+        "one-sheet-cycle",
+    ],
 )
 def test_malformed_cover_document_prints_one_error_line_and_exits_2(
     tmp_path, capsys, document, message
@@ -338,3 +360,11 @@ def test_verify_coefficients_at_a_large_genus(capsys):
     assert code == 0
     assert out.splitlines()[2].startswith("| 700 | 1 | 1 | ")
     assert err.startswith("elapsed: ")
+
+
+@pytest.mark.parametrize("gmin", ["2", "1", "0"])
+def test_verify_coefficients_below_genus_three_names_the_genus(capsys, gmin):
+    code, out, err = run(capsys, "verify-coefficients", "--gmin", gmin, "--gmax", "3")
+    assert (code, out) == (2, "")
+    assert err == f"error: the chain is evaluated for genus >= 3, got {gmin}\n"
+

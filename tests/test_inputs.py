@@ -1,17 +1,20 @@
 """Mutated fixture documents through every ``--in`` command: each one is
 refused with exactly one stderr line and the documented exit code
 (``invalid:`` and 1 for validate, ``error:`` and 2 for the others),
-never with a traceback."""
+never with a traceback.  The decoders accept only documents their
+published schemas accept."""
 import contextlib
 import copy
 import io
 import json
 from unittest import mock
 
+import jsonschema
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from trigonal.cli import main
+from trigonal.jsonio import load_schema, tetragonal_from_dict, tower_from_dict
 
 from conftest import FIXTURES
 
@@ -99,6 +102,23 @@ def _large_degree(draw, doc, paths):
     return _replace(doc, path, draw(st.sampled_from([7, 10**6, 3_000_000, 10**12])))
 
 
+def _empty_label(draw, doc, paths):
+    path = _pick(draw, [p for p in paths if p and p[-1] == "label"])
+    return _replace(doc, path, "")
+
+
+def _unknown_key(draw, doc, paths):
+    path = _pick(draw, [p for p in paths if isinstance(_at(doc, p), dict)])
+    _at(doc, path)[draw(st.sampled_from(["comment", "genus", "labels", ""]))] = 1
+    return doc
+
+
+def _short_cycle(draw, doc, paths):
+    path = _pick(draw, [p for p in paths if p and p[-1] == "monodromy"])
+    _at(doc, path).append(draw(st.sampled_from([[], [1], [2]])))
+    return doc
+
+
 MUTATIONS = (
     _drop,
     _wrong_type,
@@ -106,6 +126,9 @@ MUTATIONS = (
     _sheet_out_of_range,
     _duplicate_label,
     _large_degree,
+    _empty_label,
+    _unknown_key,
+    _short_cycle,
 )
 
 
@@ -134,3 +157,20 @@ def test_every_in_command_refuses_a_mutated_fixture_in_one_line(doc):
         assert out == ""
         lines = err.splitlines()
         assert len(lines) == 1 and lines[0].startswith(prefix), (argv, err)
+
+
+DECODERS = (
+    (tetragonal_from_dict, jsonschema.Draft202012Validator(load_schema("cover"))),
+    (tower_from_dict, jsonschema.Draft202012Validator(load_schema("tower"))),
+)
+
+
+@settings(max_examples=100)
+@given(mutated_documents())
+def test_every_document_a_decoder_accepts_meets_its_schema(doc):
+    for decode, schema in DECODERS:
+        try:
+            decode(copy.deepcopy(doc))
+        except ValueError:
+            continue
+        assert [e.message for e in schema.iter_errors(doc)] == [], decode.__name__

@@ -1,6 +1,7 @@
 """Pairs construction: the six-pairs cover, complement involution,
 partition quotient, fibre classification and the node rules."""
 import dataclasses
+import hashlib
 
 import pytest
 
@@ -28,7 +29,10 @@ from trigonal import (
     roundtrip_etale,
     validate_tower,
 )
-from trigonal.inverse import PARTITION_BLOCKS
+from trigonal.covers import CoverPoint
+from trigonal.groups import FLIPS, S4_ROWS, block_rows, derive
+from trigonal.inverse import PARTITION_BLOCKS, _glue_flips
+from trigonal.jsonio import dumps_canonical, inverse_result_to_dict
 
 from conftest import CANONICAL_BLOCKS, S4
 from test_towers import ETALE_COVER, GENERAL_COVER, SPECIAL_COVER
@@ -168,6 +172,67 @@ def test_invert_quadruple_label_uses_the_type_five_rule():
     for a, b in inverse.pairs_model.nodes:
         if a.label in quad_labels:
             assert sorted((a.ramification_index, b.ramification_index)) == [2, 4]
+
+
+def _per_type_nodes(label, perm):
+    """(trigonal nodes, pairs nodes) over one label by the rules written
+    per fibre type, kept here as the reference for the one gluing rule."""
+    induced, action = pairs_action(perm), partition_action(perm)
+
+    def upstairs(q):
+        return CoverPoint(label, induced.cycle_through(PARTITION_BLOCKS[q - 1][0]))
+
+    fiber = classify_fiber(perm)
+    if fiber == 4:
+        # the partitions whose two pairs fuse into a single 2-cycle
+        glued = [q for q in range(1, 4) if len(upstairs(q).cycle) == 2]
+        assert len(glued) == 2
+        a, b = glued
+        return [(CoverPoint(label, (a,)), CoverPoint(label, (b,)))], [(upstairs(a), upstairs(b))]
+    if fiber == 5:
+        # the transposed partition pair, then the fixed partition
+        (moved,) = action.cycles()
+        (fixed,) = [q for q in range(1, 4) if action(q) == q]
+        return (
+            [(CoverPoint(label, moved), CoverPoint(label, (fixed,)))],
+            [(upstairs(moved[0]), upstairs(fixed))],
+        )
+    return [], []
+
+
+def test_the_pairs_cover_flips_exactly_over_types_four_and_five_on_all_of_s4():
+    rows = block_rows(PARTITION_BLOCKS)
+    for perm in S4:
+        flips = rows[pairs_action(perm).images][FLIPS]
+        assert len(flips) == (2 if perm.cycle_type() in ((2, 2), (4,)) else 0), perm
+
+
+def test_gluing_the_flip_points_gives_the_per_type_nodes_on_all_of_s4():
+    for perm in S4:
+        if perm.is_identity():
+            continue
+        cover = BranchedCover.from_pairs(4, [("a", perm), ("b", perm.inverse())])
+        pairs, trigonal = derive(cover, S4_ROWS)
+        trigonal_model, pairs_model = _glue_flips(pairs, trigonal, PARTITION_BLOCKS)
+        expected = [_per_type_nodes(label, p) for label, p in cover.entries()]
+        # points, upstairs cycles and their order, node by node
+        assert list(trigonal_model.nodes) == [n for lower, _ in expected for n in lower], perm
+        assert list(pairs_model.nodes) == [n for _, upper in expected for n in upper], perm
+
+
+def test_invert_output_for_a_four_cycle_fixing_the_first_partition():
+    # (1 3 2 4) fixes {12|34}, so its flip points come fixed partition
+    # first; the transposed pair must still lead the node
+    q = Permutation.from_cycles(4, [(1, 3, 2, 4)])
+    t = Permutation.from_cycles(4, [(1, 2)])
+    tet = TetragonalCover(
+        BranchedCover.from_pairs(4, [("q", q), ("r", q.inverse()), ("s", t), ("u", t)])
+    )
+    document = inverse_result_to_dict(invert(tet))
+    nodes = [[["q", 2], ["q", 1]], [["r", 2], ["r", 1]]]
+    assert document["trigonal_nodes"] == document["pairs_nodes"] == nodes
+    digest = hashlib.sha256(dumps_canonical(document).encode()).hexdigest()
+    assert digest == "f3b916667b52f71ecb5830c8d3c6351a6fe09018b92318390a7c6abedb4b0371"
 
 
 def test_expected_inverse_matches_inverse_of_component():

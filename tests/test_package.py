@@ -1,8 +1,41 @@
-"""The package's export list."""
+"""The package's export list and its modules' imports."""
+import ast
+from pathlib import Path
+
+import pytest
+
 import trigonal
+
+MODULES = sorted(p for p in Path(trigonal.__file__).parent.glob("*.py") if p.name != "__init__.py")
 
 
 def test_every_exported_name_resolves_once():
     assert len(trigonal.__all__) == len(set(trigonal.__all__))
     missing = [name for name in trigonal.__all__ if not hasattr(trigonal, name)]
     assert missing == []
+
+
+def _unused_imports(source: str) -> list[str]:
+    """Names a module imports and never loads; ``__future__`` imports
+    bind nothing."""
+    tree = ast.parse(source)
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [f"{name} (line {line})" for name, line in imported.items() if name not in used]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+def test_module_uses_every_name_it_imports(path):
+    assert _unused_imports(path.read_text()) == []
+
+
+def test_the_unused_import_check_sees_plain_from_and_aliased_imports():
+    source = "import os\nimport a.b\nfrom x import y, z as w\nfrom __future__ import annotations\nw()\n"
+    assert _unused_imports(source) == ["os (line 1)", "a (line 2)", "y (line 3)"]
