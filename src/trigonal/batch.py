@@ -164,8 +164,9 @@ def run_batch(suite: str, configs: Sequence[SampleConfig], jobs: int = 1) -> Bat
         return InstanceResult(index, cfg.genus, cfg.mode, cfg.seed, checks)
 
     numbered = list(enumerate(configs))
-    # no thread without an instance, nor more threads than CPUs
-    shares = max(1, min(jobs, len(numbered), os.cpu_count() or 1))
+    shares = max(1, min(jobs, len(numbered)))  # no thread without an instance
+    if shares > 1:
+        shares = min(shares, os.cpu_count() or 1)  # nor more threads than CPUs
 
     def run_share(share: int) -> list[InstanceResult]:
         return [run_one(pair) for pair in numbered[share::shares]]
