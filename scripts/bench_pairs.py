@@ -11,7 +11,11 @@ which side runs first:
 Each pair also times the one-shot CLI commands in ``ONE_SHOT``, each in
 a fresh interpreter so every memo starts empty: the time from calling
 ``cli.main`` to its return, import excluded (``setup_s`` covers that),
-the median of ``ONE_SHOT_REPEATS`` processes per side and pair.
+the median of ``ONE_SHOT_REPEATS`` processes per side and pair.  These
+are raw wall times, so the two sides' processes alternate one by one
+(parent, change, parent, ...; the first side alternating by pair as for
+the runs): host speed drifting over the minutes then reaches both sides
+alike.
 
 The record holds, per workload and end-to-end metric and per one-shot
 command, both sides' per-pair values, medians and quartiles, the
@@ -80,18 +84,15 @@ def run_once(tree: Path, workload: str, seed: int, seconds: float) -> tuple[dict
 
 
 def one_shot_ms(tree: Path, argv: list[str], out: Path) -> float:
-    """Median time of ``cli.main(argv)`` over fresh interpreters, in ms."""
-    times = []
-    for _ in range(ONE_SHOT_REPEATS):
-        done = subprocess.run(
-            [sys.executable, "-c", TIME_MAIN, *argv, "--out", str(out)],
-            cwd=tree, env={**os.environ, "PYTHONPATH": "src"},
-            capture_output=True, text=True,
-        )
-        if done.returncode != 0:
-            raise RuntimeError(f"{argv} in {tree}: exit {done.returncode}\n{done.stderr}")
-        times.append(1000 * float(done.stdout.split()[-1]))
-    return statistics.median(times)
+    """Time of ``cli.main(argv)`` in one fresh interpreter, in ms."""
+    done = subprocess.run(
+        [sys.executable, "-c", TIME_MAIN, *argv, "--out", str(out)],
+        cwd=tree, env={**os.environ, "PYTHONPATH": "src"},
+        capture_output=True, text=True,
+    )
+    if done.returncode != 0:
+        raise RuntimeError(f"{argv} in {tree}: exit {done.returncode}\n{done.stderr}")
+    return 1000 * float(done.stdout.split()[-1])
 
 
 def quartiles(values: list[float]) -> list[float]:
@@ -154,7 +155,11 @@ def main(argv=None) -> int:
         "seconds": seconds,
         "seeds": seeds,
         "pairs": len(seeds),
-        "order": "per workload, seed by seed; parent runs first at even seed positions, change first at odd ones",
+        "order": (
+            "per workload, seed by seed; parent runs first at even seed positions, change first "
+            "at odd ones; one-shot processes alternate side by side within each pair "
+            "(parent, change, parent, ... or change, parent, ...), first side as for the runs"
+        ),
         "cpu_count": os.cpu_count(),
         "python": platform.python_version(),
         "one_shot_command": f"PYTHONPATH=src python3 -c '{TIME_MAIN}' ARGS --out FILE",
@@ -185,8 +190,13 @@ def main(argv=None) -> int:
         for name, argv in ONE_SHOT.items():
             times: dict[str, list[float]] = {"parent": [], "change": []}
             for i in range(len(seeds)):
-                for side in ("parent", "change") if i % 2 == 0 else ("change", "parent"):
-                    times[side].append(one_shot_ms(trees[side], argv, out))
+                order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+                pair: dict[str, list[float]] = {side: [] for side in order}
+                for _ in range(ONE_SHOT_REPEATS):
+                    for side in order:
+                        pair[side].append(one_shot_ms(trees[side], argv, out))
+                for side in order:
+                    times[side].append(statistics.median(pair[side]))
             record["one_shot"][name] = compare(times, "ms", "lower")
     Path(args.out).write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
     return 0

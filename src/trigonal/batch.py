@@ -1,16 +1,15 @@
 """Batch suites: sample many instances, run a named check set on each.
 
-Instances are pure functions of their config, so the runner may fan
-them out over worker threads; results are keyed by instance index and
-aggregated in index order, which keeps a report byte-identical for a
-fixed master seed regardless of thread count.  Wall-clock timing is
-measured but deliberately excluded from the canonical serialization.
+Instances are pure functions of their config and run one after another
+in index order in the calling thread, so a report is byte-identical
+for a fixed master seed.  The work is pure Python, which CPython runs
+one thread at a time, so worker threads would add only hand-offs.
+Wall-clock timing is measured but deliberately excluded from the
+canonical serialization.
 """
 from __future__ import annotations
 
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -140,10 +139,15 @@ class BatchReport:
 
 
 def run_batch(suite: str, configs: Sequence[SampleConfig], jobs: int = 1) -> BatchReport:
-    """Run a named suite over the configs, optionally across threads.
+    """Run a named suite over the configs in index order in the calling
+    thread.
 
-    An empty config list yields an empty, passing report.  Unknown
-    suite names are rejected up front.
+    ``jobs`` is kept for callers that pass it and must be positive; the
+    report is the same at every value.  An empty config list yields an
+    empty, passing report.  Unknown suite names are rejected up front.
+    An instance's ``ValueError``, ``AssertionError`` or ``RuntimeError``
+    becomes its failed ``instance-runs`` check; any other error reaches
+    the caller and stops the batch.
     """
     try:
         runner = SUITES[suite]
@@ -153,35 +157,11 @@ def run_batch(suite: str, configs: Sequence[SampleConfig], jobs: int = 1) -> Bat
         raise ValueError("jobs must be positive")
 
     started = time.perf_counter()
-
-    def run_one(pair: tuple[int, SampleConfig]) -> InstanceResult:
-        index, cfg = pair
+    results = []
+    for index, cfg in enumerate(configs):
         try:
-            report = runner(cfg)
-            checks = report.checks
+            checks = runner(cfg).checks
         except (ValueError, AssertionError, RuntimeError) as err:
             checks = (CheckResult("instance-runs", False, str(err)),)
-        return InstanceResult(index, cfg.genus, cfg.mode, cfg.seed, checks)
-
-    numbered = list(enumerate(configs))
-    shares = max(1, min(jobs, len(numbered)))  # no thread without an instance
-    if shares > 1:
-        shares = min(shares, os.cpu_count() or 1)  # nor more threads than CPUs
-
-    def run_share(share: int) -> list[InstanceResult]:
-        return [run_one(pair) for pair in numbered[share::shares]]
-
-    if shares <= 1:
-        results = run_share(0)
-    else:
-        # One strided share per thread, the calling thread running the
-        # first.  A task per instance hands every result between threads:
-        # on 2 CPUs that cost about 1 ms per 20-instance call, and 5-8 ms
-        # at its 90th percentile, as much as a fifth of the call.
-        with ThreadPoolExecutor(max_workers=shares - 1) as pool:
-            others = [pool.submit(run_share, share) for share in range(1, shares)]
-            results = run_share(0)
-            for future in others:
-                results.extend(future.result())
-    results.sort(key=lambda r: r.index)
+        results.append(InstanceResult(index, cfg.genus, cfg.mode, cfg.seed, checks))
     return BatchReport(suite, tuple(results), time.perf_counter() - started)

@@ -37,7 +37,7 @@ from .jsonio import (
 )
 from .report import CheckReport
 from .sampling import SAMPLE_KINDS, SAMPLE_M0, SampleConfig, derive_seed, sample_tetragonal, sample_tower
-from .towers import ETALE, SPECIAL, TowerValidationError
+from .towers import ETALE, GENERAL, SPECIAL, TowerValidationError
 
 
 def _read_json(path: str) -> dict:
@@ -185,25 +185,20 @@ def _cmd_sample(args) -> int:
 
 def _cmd_roundtrip(args) -> int:
     started = time.perf_counter()
-    if args.infile:
-        document = _read_json(args.infile)
-        if args.mode == SPECIAL:
-            tower = tower_from_dict(document)
+    if args.mode == ETALE:
+        if args.infile:
+            tetragonal = tetragonal_from_dict(_read_json(args.infile))
+        else:
+            tetragonal = sample_tetragonal(SampleConfig(genus=args.genus, mode=SAMPLE_M0, seed=args.seed))
+        report = roundtrip_etale(tetragonal)
+    else:
+        if args.infile:
+            tower = tower_from_dict(_read_json(args.infile))
             if tower.mode != args.mode:
                 raise ValueError(f"round trip needs a {args.mode} tower, mode is {tower.mode!r}")
-            report = roundtrip(tower)
         else:
-            report = roundtrip_etale(tetragonal_from_dict(document))
-    else:
-        cfg = SampleConfig(
-            genus=args.genus,
-            mode=SPECIAL if args.mode == SPECIAL else SAMPLE_M0,
-            seed=args.seed,
-        )
-        if args.mode == SPECIAL:
-            report = roundtrip(sample_tower(cfg))
-        else:
-            report = roundtrip_etale(sample_tetragonal(cfg))
+            tower = sample_tower(SampleConfig(genus=args.genus, mode=args.mode, seed=args.seed))
+        report = roundtrip(tower)
     _note_elapsed(started)
     return _emit_report(report, args.format, args.out)
 
@@ -294,8 +289,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("roundtrip", help="inverse-then-forward consistency run")
     add_common(p, fmt=True)
-    p.add_argument("--mode", choices=(SPECIAL, ETALE), required=True)
-    p.add_argument("--in", dest="infile", default=None, help="tower (special) or tetragonal cover (etale)")
+    p.add_argument("--mode", choices=(GENERAL, SPECIAL, ETALE), required=True)
+    p.add_argument(
+        "--in", dest="infile", default=None,
+        help="tower (general, special) or tetragonal cover (etale)",
+    )
     p.add_argument("--genus", type=int, default=3, help="sampling genus when --in is absent")
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_roundtrip)
@@ -314,7 +312,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--genus-min", type=int, default=3)
     p.add_argument("--genus-max", type=int, default=8)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument(
+        "--jobs", type=int, default=1,
+        help="must be positive; accepted for compatibility: instances run in order in one "
+        "thread, so reports are byte-identical at any value",
+    )
     p.set_defaults(func=_cmd_batch)
 
     return parser

@@ -11,11 +11,13 @@ Nodal curves are modelled by a smooth cover (the normalization) plus
 side-band node markers: unordered pairs of fibre points that are glued.
 Nodes are never encoded into the permutations themselves.
 
-A cover keeps its orbits, its components and its label -> entry dict
-in its instance dict once first asked, and ``total_ramification`` sums
-a per-entry ramification memoized, like the permutation kernel, on the
-entry's image tuple and bounded at ``MEMO_SIZE``; ``perm_at`` returns
-the kernel's shared identity for a label the cover is not branched over.
+A cover's orbits, components and label -> entry dict are
+``functools.cached_property`` values, computed on first read; they are
+not fields, so equality and hashing ignore them.
+``total_ramification`` sums a per-entry ramification memoized, like
+the permutation kernel, on the entry's image tuple and bounded at
+``MEMO_SIZE``; ``perm_at`` returns the kernel's shared identity for a
+label the cover is not branched over.
 
 Every cover built from outside data (a decoded document, a sampler's
 candidate, ``induced_cover``) runs every check in ``__post_init__``.
@@ -80,11 +82,12 @@ class BranchedCover:
 
     def perm_at(self, label: str) -> Permutation:
         """Monodromy at ``label``; identity if the label is not a branch label."""
-        by_label = self.__dict__.get("by_label")
-        if by_label is None:
-            by_label = self.__dict__["by_label"] = dict(zip(self.labels, self.monodromy))
-        perm = by_label.get(label)
+        perm = self._by_label.get(label)
         return Permutation.identity(self.degree) if perm is None else perm
+
+    @functools.cached_property
+    def _by_label(self) -> dict[str, Permutation]:
+        return dict(zip(self.labels, self.monodromy))
 
     def entries(self) -> tuple[tuple[str, Permutation], ...]:
         return tuple(zip(self.labels, self.monodromy))
@@ -92,21 +95,22 @@ class BranchedCover:
     def total_ramification(self) -> int:
         return sum(map(_ramification, [p.images for p in self.monodromy]))
 
-    @property
+    @functools.cached_property
     def orbits(self) -> tuple[tuple[int, ...], ...]:
-        """Orbits of the monodromy group on the sheets, computed once per
-        cover and kept in the instance dict; not a field, so equality and
-        hashing ignore it.
+        """Orbits of the monodromy group on the sheets."""
+        return orbits(self.monodromy, self.degree)
 
-        Not ``functools.cached_property``: before Python 3.12 its first
-        read takes one lock shared by every instance of the class, so
-        ``run_batch`` worker threads park on each other there.  Two
-        threads racing on one cover both store the same tuple.
+    @functools.cached_property
+    def components(self) -> tuple["Component", ...]:
+        """Connected components, ordered by their smallest parent sheet.
+
+        A component's entries are the parent's restricted to one orbit
+        and renumbered along it (the kernel's memoized ``induced_action``
+        on the orbit's singletons), with trivial restrictions dropped; a
+        connected cover's one component is a copy, so no cover holds
+        itself.
         """
-        cached = self.__dict__.get("orbits")
-        if cached is None:
-            cached = self.__dict__["orbits"] = orbits(self.monodromy, self.degree)
-        return cached
+        return tuple(_restrict(self, orbit) for orbit in self.orbits)
 
     def is_connected(self) -> bool:
         return len(self.orbits) == 1
@@ -217,19 +221,9 @@ def induced_cover(cover: BranchedCover, points: tuple[tuple[int, ...], ...]) -> 
 
 
 def components(cover: BranchedCover) -> tuple[Component, ...]:
-    """Connected components, ordered by their smallest parent sheet;
-    computed once per cover and kept in its instance dict, like its
-    orbits.
-
-    A component's entries are the parent's restricted to one orbit and
-    renumbered along it (the kernel's memoized ``induced_action`` on the
-    orbit's singletons), with trivial restrictions dropped; a connected
-    cover's one component is a copy, so no cover holds itself.
-    """
-    cached = cover.__dict__.get("components")
-    if cached is None:
-        cached = cover.__dict__["components"] = tuple(_restrict(cover, orbit) for orbit in cover.orbits)
-    return cached
+    """``cover.components``: its connected components, ordered by their
+    smallest parent sheet."""
+    return cover.components
 
 
 def _restrict(cover: BranchedCover, orbit: tuple[int, ...]) -> Component:

@@ -1,9 +1,9 @@
-"""Batch orchestration: suites, parallel determinism, failure capture."""
-from concurrent.futures import Future
+"""Batch orchestration: suites, in-order determinism, failure capture."""
+import threading
 
 import pytest
 
-from trigonal import SUITES, SampleConfig, batch, run_batch, spread_configs
+from trigonal import SUITES, SampleConfig, run_batch, spread_configs
 from trigonal.jsonio import batch_report_to_dict, dumps_canonical
 
 
@@ -56,73 +56,23 @@ def test_reports_are_byte_identical_across_thread_counts():
     assert serialized[1] == serialized[2] == serialized[4]
 
 
-def _check_pool(monkeypatch, count, jobs, cpus, workers, shares):
-    """Run ``count`` instances at ``jobs`` on ``cpus`` CPUs with a pool
-    that records the workers it is asked for and the size of each share
-    it is handed, running every share in the calling thread."""
-    started, submitted = [], []
-
-    class RecordingExecutor:
-        def __init__(self, max_workers):
-            started.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def submit(self, fn, *args):
-            future = Future()
-            future.set_result(fn(*args))
-            submitted.append(len(future.result()))
-            return future
-
-    cfgs = spread_configs("general-props", count, 33, 3, 8)
-    expected = dumps_canonical(batch_report_to_dict(run_batch("general-props", cfgs)))
-    monkeypatch.setattr(batch, "ThreadPoolExecutor", RecordingExecutor)
-    monkeypatch.setattr(batch.os, "cpu_count", lambda: cpus)
-    report = run_batch("general-props", cfgs, jobs=jobs)
-    assert started == ([] if workers is None else [workers])
-    assert submitted == shares
-    assert dumps_canonical(batch_report_to_dict(report)) == expected
-
-
-@pytest.mark.parametrize(
-    "count, jobs, workers, shares",
-    [(3, 6, 2, [1, 1]), (3, 2, 1, [1]), (5, 3, 2, [2, 1]), (1, 4, None, []), (0, 4, None, [])],
-)
-def test_the_pool_starts_no_worker_without_an_instance(monkeypatch, count, jobs, workers, shares):
-    _check_pool(monkeypatch, count, jobs, 8, workers, shares)
-
-
-@pytest.mark.parametrize(
-    "count, jobs, cpus, workers, shares",
-    [
-        (6, 5000, 3, 2, [2, 2]),
-        (5, 5000, 2, 1, [2]),
-        (4, 2, 1, None, []),
-        (4, 2, None, None, []),  # os.cpu_count() may not know
-    ],
-)
-def test_the_pool_starts_no_more_shares_than_cpus(monkeypatch, count, jobs, cpus, workers, shares):
-    _check_pool(monkeypatch, count, jobs, cpus, workers, shares)
-
-
-@pytest.mark.parametrize("index", [0, 1, 3])
-def test_an_uncaught_error_in_any_thread_share_reaches_the_caller(monkeypatch, index):
-    # with jobs=2 the calling thread runs instances 0, 2, ... and the worker
-    # 1, 3, ...; an error run_batch does not capture must surface from either
-    cfgs = spread_configs("general-props", 4, 33, 3, 8)
+@pytest.mark.parametrize("jobs", [1, 2, 4])
+def test_instances_run_in_index_order_in_the_calling_thread(monkeypatch, jobs):
+    # an error run_batch does not capture reaches the caller and stops
+    # the batch: no later instance runs
+    cfgs = spread_configs("general-props", 5, 33, 3, 8)
+    ran = []
 
     def runner(cfg):
-        if cfg == cfgs[index]:
-            raise TypeError(f"instance {index}")
+        ran.append((cfgs.index(cfg), threading.get_ident()))
+        if cfg == cfgs[3]:
+            raise TypeError("instance 3")
         return SUITES["general-props"](cfg)
 
     monkeypatch.setitem(SUITES, "raising", runner)
-    with pytest.raises(TypeError, match=f"instance {index}"):
-        run_batch("raising", cfgs, jobs=2)
+    with pytest.raises(TypeError, match="instance 3"):
+        run_batch("raising", cfgs, jobs=jobs)
+    assert ran == [(index, threading.get_ident()) for index in range(4)]
 
 
 def test_instance_failure_is_captured_not_raised():

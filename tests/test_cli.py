@@ -145,6 +145,20 @@ def test_roundtrip_special_from_file(capsys):
     assert "overall: PASS" in out
 
 
+def test_roundtrip_general_from_file_and_sampled(capsys):
+    # the paper's own case: a general tower round-trips through an m2 cover
+    code, out, _ = run(
+        capsys, "roundtrip", "--mode", "general", "--in", str(FIXTURES / "tower_general_g3.json"),
+    )
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["title"] == "roundtrip-general" and payload["passed"] is True
+    assert {"name": "component-stratum", "passed": True, "detail": "stratum 'm2'"} in payload["checks"]
+    code, out, _ = run(capsys, "roundtrip", "--mode", "general", "--genus", "5", "--seed", "2")
+    assert code == 0
+    assert json.loads(out)["title"] == "roundtrip-general"
+
+
 def test_roundtrip_etale_sampled(capsys):
     code, out, _ = run(
         capsys, "roundtrip", "--mode", "etale", "--genus", "2", "--seed", "1",
@@ -178,6 +192,27 @@ def test_batch_json_and_exit_status(tmp_path, capsys):
     payload = json.loads(out.read_text())
     assert payload["passed"] is True and payload["instance_count"] == 4
     assert "elapsed_seconds" not in payload
+
+
+@pytest.mark.parametrize("jobs", ["0", "-1"])
+def test_batch_rejects_a_non_positive_jobs_with_one_error_line(capsys, jobs):
+    code, out, err = run(capsys, "batch", "--suite", "general-props", "--count", "2", "--jobs", jobs)
+    assert code == 2
+    assert out == ""
+    assert err == "error: jobs must be positive\n"
+
+
+def test_batch_bytes_do_not_depend_on_jobs(tmp_path, capsys):
+    written = {}
+    for jobs in ("1", "3"):
+        out = tmp_path / f"jobs{jobs}.json"
+        code, _, _ = run(
+            capsys, "batch", "--suite", "m0-roundtrip", "--count", "5", "--seed", "8",
+            "--genus-min", "2", "--genus-max", "4", "--jobs", jobs, "--out", str(out),
+        )
+        assert code == 0
+        written[jobs] = out.read_bytes()
+    assert written["1"] == written["3"]
 
 
 def test_batch_md(capsys):
@@ -311,6 +346,12 @@ def test_roundtrip_rejects_a_tower_of_another_mode(capsys):
     assert code == 2
     assert out == ""
     assert err == "error: round trip needs a special tower, mode is 'general'\n"
+    code, out, err = run(
+        capsys, "roundtrip", "--mode", "general", "--in", str(FIXTURES / "tower_special_g3.json"),
+    )
+    assert code == 2
+    assert out == ""
+    assert err == "error: round trip needs a general tower, mode is 'special'\n"
 
 
 IN_COMMANDS = [

