@@ -75,6 +75,26 @@ def test_instances_run_in_index_order_in_the_calling_thread(monkeypatch, jobs):
     assert ran == [(index, threading.get_ident()) for index in range(4)]
 
 
+
+@pytest.mark.parametrize("index", [0, 1, 3])
+def test_an_uncaught_error_in_any_thread_share_reaches_the_caller(monkeypatch, index):
+    # the calling thread is the batch's one share at any jobs value: an
+    # error run_batch does not capture surfaces from whichever instance
+    # raises it, and the instances after it never start
+    cfgs = spread_configs("general-props", 4, 33, 3, 8)
+    ran = []
+
+    def runner(cfg):
+        ran.append(cfgs.index(cfg))
+        if cfg == cfgs[index]:
+            raise TypeError(f"instance {index}")
+        return SUITES["general-props"](cfg)
+
+    monkeypatch.setitem(SUITES, "raising", runner)
+    with pytest.raises(TypeError, match=f"instance {index}"):
+        run_batch("raising", cfgs, jobs=2)
+    assert ran == list(range(index + 1))
+
 def test_instance_failure_is_captured_not_raised():
     # retry budget of one exhausts on this seed; the error must surface
     # as a failed check on that instance, untouched instances still pass

@@ -47,21 +47,32 @@ def test_cover_validation():
 
 
 def test_cached_orbits_leave_equality_and_hashing_alone():
-    # orbits, components and the label dict are cached_property values:
-    # out of the instance dict until first read, out of == and hash after
+    flip, shift = Permutation((2, 1, 3, 4)), Permutation((1, 2, 4, 3))
+    entries = [("a", flip), ("b", shift), ("c", shift), ("d", flip)]
+    first, second = BranchedCover.from_pairs(4, entries), BranchedCover.from_pairs(4, entries)
+    assert first.orbits == ((1, 2), (3, 4))
+    assert not first.is_connected()
+    assert "orbits" not in vars(second)
+    assert first == second and hash(first) == hash(second)
+    assert [c.sheets for c in components(first)] == [(1, 2), (3, 4)]
+    assert first.perm_at("a") is flip
+    # with every cache filled on one side only, == and hash still agree
+    assert first == second and hash(first) == hash(second)
+    assert components(first) is components(first)
+
+
+def test_orbits_cache_takes_no_shared_lock():
+    # orbits, components and the label dict are per-instance
+    # functools.cached_property values: out of the instance dict until
+    # first read, and filling one cover's caches fills no other's
     flip, shift = Permutation((2, 1, 3, 4)), Permutation((1, 2, 4, 3))
     entries = [("a", flip), ("b", shift), ("c", shift), ("d", flip)]
     first, second = BranchedCover.from_pairs(4, entries), BranchedCover.from_pairs(4, entries)
     cached = ("orbits", "components", "_by_label")
     assert not set(cached) & set(vars(first))
-    assert first.orbits == ((1, 2), (3, 4))
-    assert not first.is_connected()
-    assert [c.sheets for c in components(first)] == [(1, 2), (3, 4)]
-    assert first.perm_at("a") is flip
+    first.orbits, components(first), first.perm_at("a")
     assert set(cached) <= set(vars(first))
     assert not set(cached) & set(vars(second))
-    assert first == second and hash(first) == hash(second)
-    assert components(first) is components(first)
 
 
 def test_hyperelliptic_genus():
