@@ -277,7 +277,8 @@ def arithmetic_genus(model: NodalCoverModel) -> int:
 
 def iter_isomorphisms(first: BranchedCover, second: BranchedCover) -> Iterator[Permutation]:
     """All sheet relabelings ``rho`` with ``conjugate(m, rho)`` matching the
-    second cover's monodromy entry by entry.
+    second cover's monodromy entry by entry, in lexicographic order of
+    their image tuples.
 
     Covers must share degree and the identical ordered label list; a
     mismatch there is a usage error, not a negative answer.
@@ -288,44 +289,42 @@ def iter_isomorphisms(first: BranchedCover, second: BranchedCover) -> Iterator[P
         raise ValueError(f"branch labels differ: {first.labels!r} vs {second.labels!r}")
 
     n = first.degree
-    pairs = list(zip(first.monodromy, second.monodromy))
-    for mapping in _extend(n, pairs, {}, set()):
-        yield Permutation(tuple(mapping[i] for i in range(1, n + 1)))
+    pairs = [(s.images, t.images) for s, t in zip(first.monodromy, second.monodromy)]
+    # a relabeling is fixed on each orbit by its least sheet's image:
+    # one map per orbit and target, then one disjoint pick per orbit in turn
+    choices = [
+        [m for t in range(1, n + 1) if (m := _propagate(pairs, orbit[0], t)) is not None]
+        for orbit in first.orbits
+    ]
+    levels = [(iter(choices[0]), {})]  # per orbit: its maps left, the maps picked before it
+    while levels:
+        maps, picked = levels[-1]
+        pick = next(maps, None)
+        if pick is None:
+            levels.pop()
+        elif set(pick.values()).isdisjoint(picked.values()):
+            mapping = {**picked, **pick}
+            if len(levels) == len(choices):
+                yield Permutation(tuple(mapping[i] for i in range(1, n + 1)))
+            else:
+                levels.append((iter(choices[len(levels)]), mapping))
 
 
-def _extend(n: int, pairs: list, mapping: dict[int, int], used: set[int]) -> Iterator[dict[int, int]]:
-    # not a closure: a recursive closure refers to itself through its own
-    # cell, a cycle that keeps ``pairs`` alive until a full collection
-    if len(mapping) == n:
-        yield mapping
-        return
-    start = min(s for s in range(1, n + 1) if s not in mapping)
-    for target in range(1, n + 1):
-        if target in used:
-            continue
-        trial = dict(mapping)
-        trial_used = set(used)
-        trial[start] = target
-        trial_used.add(target)
-        queue = [start]
-        ok = True
-        while queue and ok:
-            x = queue.pop()
-            for sigma, sigma2 in pairs:
-                want = sigma2(trial[x])
-                got = trial.get(sigma(x))
-                if got is None:
-                    if want in trial_used:
-                        ok = False
-                        break
-                    trial[sigma(x)] = want
-                    trial_used.add(want)
-                    queue.append(sigma(x))
-                elif got != want:
-                    ok = False
-                    break
-        if ok:
-            yield from _extend(n, pairs, trial, trial_used)
+def _propagate(pairs: list, start: int, target: int) -> dict[int, int] | None:
+    """The map on ``start``'s orbit sending ``start`` to ``target`` and each
+    first entry's image tuple onto its pair's, if one exists and is
+    one-to-one; else ``None``."""
+    mapping = {start: target}
+    queue = [start]
+    for x in queue:
+        for sigma, tau in pairs:
+            image, want = sigma[x - 1], tau[mapping[x] - 1]
+            if image not in mapping:
+                mapping[image] = want
+                queue.append(image)
+            elif mapping[image] != want:
+                return None
+    return mapping if len(set(mapping.values())) == len(mapping) else None
 
 
 def are_isomorphic(first: BranchedCover, second: BranchedCover) -> Permutation | None:

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import HealthCheck, assume, settings
 from hypothesis import strategies as st
 
-from trigonal import BlockSystem, BranchedCover, Permutation, product
+from trigonal import BlockSystem, BranchedCover, Permutation, conjugate, product
 
 settings.register_profile(
     "suite",
@@ -70,6 +70,22 @@ def transitive_covers(draw, degree, length=6):
             degree, [(f"p{i:02d}", perm) for i, perm in enumerate(perms, start=1)]
         )
     return cover
+
+
+@st.composite
+def disconnected_covers(draw, degree):
+    """Two transitive covers side by side on disjoint sheets under shared
+    labels (a label one side lacks acts trivially there), relabelled by a
+    random permutation; ``degree`` is at least 4."""
+    left_degree = draw(st.integers(2, degree - 2))
+    left = draw(transitive_covers(left_degree))
+    right = draw(transitive_covers(degree - left_degree))
+    rho = draw(permutations(degree))
+    entries = []
+    for label in sorted(set(left.labels) | set(right.labels)):
+        shifted = tuple(left_degree + s for s in right.perm_at(label).images)
+        entries.append((label, conjugate(Permutation(left.perm_at(label).images + shifted), rho)))
+    return BranchedCover.from_pairs(degree, entries)
 
 
 def block_preserving_permutations():

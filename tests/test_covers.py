@@ -1,9 +1,11 @@
 """Branched covers: genus bookkeeping, components, points, nodal models,
 and the conjugation-search isomorphism test."""
 import gc
+import itertools
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from trigonal import (
     BranchedCover,
@@ -21,10 +23,10 @@ from trigonal import (
     nodal_isomorphism,
     ramification_profile,
 )
-from trigonal.covers import point_on
+from trigonal.covers import iter_isomorphisms, nodal_isomorphisms, point_on
 from trigonal.jsonio import cover_from_dict
 
-from conftest import permutations, transitive_covers
+from conftest import disconnected_covers, permutations, transitive_covers
 
 
 def two_sheet_cover(transposition_count):
@@ -288,3 +290,93 @@ def test_isomorphism_search_leaves_no_cyclic_garbage(fixture_doc):
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def _relabel(cover, rho):
+    return BranchedCover.from_pairs(
+        cover.degree, [(label, conjugate(perm, rho)) for label, perm in cover.entries()]
+    )
+
+
+def _covers(degree):
+    """Connected covers, the zero-label cover and, from degree 4 on, two
+    components side by side."""
+    kinds = [transitive_covers(degree), st.just(BranchedCover(degree, (), ()))]
+    if degree >= 4:
+        kinds.append(disconnected_covers(degree))
+    return st.one_of(kinds)
+
+
+@st.composite
+def _cover_pairs(draw, pairing):
+    degree = draw(st.integers(2, 6))
+    first = draw(_covers(degree))
+    if pairing == "self":
+        return first, first
+    if pairing == "conjugated":
+        return first, _relabel(first, draw(permutations(degree)))
+    second = draw(_covers(degree))
+    assume(second.labels == first.labels)
+    return first, second
+
+
+@st.composite
+def _node_markers(draw, cover):
+    """Up to three nodes over the cover's labels or the unbranched label
+    ``q``, no fibre point in two."""
+    nodes, used = [], set()
+    for label in draw(st.lists(st.sampled_from(cover.labels + ("q",)), max_size=3)):
+        free = [p for p in fiber_points(cover, label) if p not in used]
+        if len(free) >= 2:
+            pair = tuple(draw(st.lists(st.sampled_from(free), min_size=2, max_size=2, unique=True)))
+            used.update(pair)
+            nodes.append(pair)
+    return NodalCoverModel(cover, tuple(nodes))
+
+
+def _brute_force(first, second):
+    """Every relabeling of the sheets, in lexicographic order of image
+    tuples, that conjugates the first cover's entries onto the second's."""
+    return [
+        rho
+        for rho in map(Permutation, itertools.permutations(range(1, first.degree + 1)))
+        if all(conjugate(s, rho) == t for s, t in zip(first.monodromy, second.monodromy))
+    ]
+
+
+PAIRINGS = ("conjugated", "self", "independent")
+
+
+@pytest.mark.parametrize("pairing", PAIRINGS)
+@given(data=st.data())
+def test_isomorphism_search_yields_the_brute_force_list_in_order(pairing, data):
+    first, second = data.draw(_cover_pairs(pairing))
+    assert list(iter_isomorphisms(first, second)) == _brute_force(first, second)
+
+
+@pytest.mark.parametrize("degree", range(1, 7))
+def test_every_relabeling_is_an_automorphism_of_the_zero_label_cover(degree):
+    cover = BranchedCover(degree, (), ())
+    everything = list(map(Permutation, itertools.permutations(range(1, degree + 1))))
+    assert list(iter_isomorphisms(cover, cover)) == everything
+
+
+@pytest.mark.parametrize("pairing", PAIRINGS)
+@given(data=st.data())
+def test_nodal_search_yields_the_brute_force_list_filtered_by_nodes(pairing, data):
+    first, second = data.draw(_cover_pairs(pairing))
+    model = data.draw(_node_markers(first))
+    brute = _brute_force(first, second)
+    if brute and data.draw(st.booleans()):
+        # the image of the first model's nodes, so that some relabeling fits
+        rho = data.draw(st.sampled_from(brute))
+        other = NodalCoverModel(second, tuple((a.mapped(rho), b.mapped(rho)) for a, b in model.nodes))
+    else:
+        other = data.draw(_node_markers(second))
+    want = other.node_set()
+    expected = [
+        rho
+        for rho in brute
+        if {frozenset(p.mapped(rho) for p in pair) for pair in model.nodes} == want
+    ]
+    assert list(nodal_isomorphisms(model, other)) == expected
