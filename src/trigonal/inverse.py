@@ -245,12 +245,12 @@ def match_glued(result: InverseResult, glued: GluedTower) -> CheckReport:
     """
     checks: list[CheckResult] = []
     try:
-        rho3 = nodal_isomorphism(result.trigonal_model, glued.trigonal_model)
+        matched = nodal_isomorphism(result.trigonal_model, glued.trigonal_model) is not None
         checks.append(
             CheckResult(
                 "trigonal-curves-match",
-                rho3 is not None,
-                "no relabeling aligns the glued trigonal curves and their nodes",
+                matched,
+                "" if matched else "no relabeling aligns the glued trigonal curves and their nodes",
             )
         )
     except ValueError as err:
@@ -265,7 +265,7 @@ def match_glued(result: InverseResult, glued: GluedTower) -> CheckReport:
             CheckResult(
                 "double-covers-match",
                 found,
-                "no relabeling aligns the glued top curves with nodes and blocks",
+                "" if found else "no relabeling aligns the glued top curves with nodes and blocks",
             )
         )
     except ValueError as err:
