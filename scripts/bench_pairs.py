@@ -11,8 +11,10 @@ which side runs first:
 Each pair also times the one-shot CLI commands in ``ONE_SHOT``, each in
 a fresh interpreter so every memo starts empty: the time from calling
 ``cli.main`` to its return, import excluded (``setup_s`` covers that),
-the median of ``ONE_SHOT_REPEATS`` processes per side and pair.  These
-are raw wall times, so the two sides' processes alternate one by one
+the median of ``ONE_SHOT_REPEATS`` processes per side and pair.  A full
+``gc.collect()`` runs after the import and before the clock starts, so
+a change to what is imported does not move a collection into ``main``.
+These are raw wall times, so the two sides' processes alternate one by one
 (parent, change, parent, ...; the first side alternating by pair as for
 the runs): host speed drifting over the minutes then reaches both sides
 alike.
@@ -47,7 +49,7 @@ ONE_SHOT = {
 }
 ONE_SHOT_REPEATS = 5
 TIME_MAIN = (
-    "import sys, time; from trigonal.cli import main; "
+    "import gc, sys, time; from trigonal.cli import main; gc.collect(); "
     "t = time.perf_counter(); status = main(sys.argv[1:]); "
     "print(time.perf_counter() - t); sys.exit(status)"
 )
@@ -158,7 +160,8 @@ def main(argv=None) -> int:
         "order": (
             "per workload, seed by seed; parent runs first at even seed positions, change first "
             "at odd ones; one-shot processes alternate side by side within each pair "
-            "(parent, change, parent, ... or change, parent, ...), first side as for the runs"
+            "(parent, change, parent, ... or change, parent, ...), first side as for the runs; "
+            "each one-shot process runs gc.collect() after importing trigonal.cli, before its clock starts"
         ),
         "cpu_count": os.cpu_count(),
         "python": platform.python_version(),

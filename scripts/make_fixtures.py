@@ -17,7 +17,6 @@ from trigonal import (
     BlockSystem,
     BranchedCover,
     Permutation,
-    SampleConfig,
     TetragonalCover,
     components,
     construct,

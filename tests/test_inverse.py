@@ -20,7 +20,6 @@ from trigonal import (
     construct,
     expected_inverse,
     flip_points,
-    genus,
     invert,
     match_glued,
     pairs_action,

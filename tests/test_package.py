@@ -6,7 +6,11 @@ import pytest
 
 import trigonal
 
-MODULES = sorted(p for p in Path(trigonal.__file__).parent.glob("*.py") if p.name != "__init__.py")
+PACKAGE = Path(trigonal.__file__).parent
+ROOT = Path(__file__).resolve().parent.parent
+MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+# the scripts and tests too; perfbench/ is left out
+MODULES += sorted(ROOT.glob("scripts/*.py")) + sorted(ROOT.glob("tests/*.py"))
 
 
 def test_every_exported_name_resolves_once():
@@ -31,7 +35,9 @@ def _unused_imports(source: str) -> list[str]:
     return [f"{name} (line {line})" for name, line in imported.items() if name not in used]
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+@pytest.mark.parametrize(
+    "path", MODULES, ids=lambda p: p.stem if p.parent == PACKAGE else f"{p.parent.name}/{p.stem}"
+)
 def test_module_uses_every_name_it_imports(path):
     assert _unused_imports(path.read_text()) == []
 
