@@ -1,4 +1,5 @@
 """Batch orchestration: suites, in-order determinism, failure capture."""
+import hashlib
 import threading
 
 import pytest
@@ -16,6 +17,25 @@ def test_unknown_suite_and_bad_jobs_are_rejected():
         spread_configs("no-such-suite", 4, 0, 3, 8)
     with pytest.raises(ValueError):
         spread_configs("general-props", 4, 0, 5, 4)
+
+
+# sha256 of each suite's canonical report, 12 instances at master seed
+# 101 over g 3..8.  A change that moves one of these must say why in
+# CHANGES.md.
+PINNED_SUITE_DIGESTS = {
+    "etale-forward": "d7ba6f3be54596734c2f34b45add7fefb9a66ce0aa76997f1ef7b4eb02a3db3b",
+    "general-props": "7f135b83f8aeb16a8bc6c7a65c20db15372f9d3e423b71b733c194a1ebf0100e",
+    "m0-roundtrip": "6eeb2cb3608f32e9c611a0e2ddb3174282e0aefbcf7bf5f3e5ec4790f074b958",
+    "special-props": "deb7eab47997d3b586ea88f3a27f9440b56714a0d4929a7903befd71460a899c",
+    "special-roundtrip": "85d88fcf100ef5554b828b091f25bb2c2b0f345ca76573c255dec01a759474af",
+}
+
+
+@pytest.mark.parametrize("suite", sorted(PINNED_SUITE_DIGESTS))
+def test_suite_report_bytes_are_pinned(suite):
+    report = run_batch(suite, spread_configs(suite, 12, 101, 3, 8))
+    text = dumps_canonical(batch_report_to_dict(report))
+    assert hashlib.sha256(text.encode()).hexdigest() == PINNED_SUITE_DIGESTS[suite]
 
 
 def test_empty_config_list_passes():

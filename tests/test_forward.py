@@ -6,6 +6,7 @@ import dataclasses
 import pytest
 
 from trigonal import (
+    BranchedCover,
     Permutation,
     TetragonalCover,
     arithmetic_genus,
@@ -208,6 +209,43 @@ def test_verify_predictions_reports_failures_without_raising():
     report = verify_predictions(SPECIAL, construct(ETALE))
     assert not report.passed
     assert report.failures()
+
+
+@pytest.mark.parametrize(
+    "entries, detail",
+    [
+        # one (2,2) label where a general tower's quotient has two
+        (
+            [
+                ("f2", [(1, 2), (3, 4)]),
+                ("h01", [(1, 2)]),
+                ("h02", [(3, 4)]),
+                ("h03", [(1, 3)]),
+                ("h04", [(1, 3)]),
+            ],
+            "(2,2) at ['f2']",
+        ),
+        # two (2,2) labels, but beside a (4) label fixing no sheet
+        (
+            [
+                ("h01", [(1, 2, 3, 4)]),
+                ("f2", [(1, 2), (3, 4)]),
+                ("f1", [(1, 3), (2, 4)]),
+                ("h02", [(1, 3)]),
+            ],
+            "(2,2) at ['f2', 'f1']",
+        ),
+    ],
+)
+def test_quotient_two_double_double_labels_fails_on_a_wrong_quotient(entries, detail):
+    quotient = BranchedCover.from_pairs(
+        4, [(label, Permutation.from_cycles(4, cycles)) for label, cycles in entries]
+    )
+    result = dataclasses.replace(construct(GENERAL), quotient=quotient)
+    checks = verify_predictions(GENERAL, result).checks
+    (check,) = [c for c in checks if c.name == "quotient-two-double-double-labels"]
+    assert not check.passed
+    assert check.detail == detail
 
 
 def test_diagram_commutes_names_the_first_four_broken_squares():
