@@ -4,12 +4,11 @@ Instances are pure functions of their config and run one after another
 in index order in the calling thread, so a report is byte-identical
 for a fixed master seed.  The work is pure Python, which CPython runs
 one thread at a time, so worker threads would add only hand-offs.
-Wall-clock timing is measured but deliberately excluded from the
-canonical serialization.
+A report holds no wall-clock time; the command line prints that to
+stderr.
 """
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -122,7 +121,6 @@ class InstanceResult:
 class BatchReport:
     suite: str
     instances: tuple[InstanceResult, ...]
-    elapsed_seconds: float
 
     @property
     def passed(self) -> bool:
@@ -156,7 +154,6 @@ def run_batch(suite: str, configs: Sequence[SampleConfig], jobs: int = 1) -> Bat
     if jobs < 1:
         raise ValueError("jobs must be positive")
 
-    started = time.perf_counter()
     results = []
     for index, cfg in enumerate(configs):
         try:
@@ -164,4 +161,4 @@ def run_batch(suite: str, configs: Sequence[SampleConfig], jobs: int = 1) -> Bat
         except (ValueError, AssertionError, RuntimeError) as err:
             checks = (CheckResult("instance-runs", False, str(err)),)
         results.append(InstanceResult(index, cfg.genus, cfg.mode, cfg.seed, checks))
-    return BatchReport(suite, tuple(results), time.perf_counter() - started)
+    return BatchReport(suite, tuple(results))

@@ -23,12 +23,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 
-def _factorial(n: int) -> int:
-    if n < 0:
-        raise ValueError(f"factorial of negative {n}")
-    return math.factorial(n)
-
-
 def gen_binomial(a: int, k: int) -> int:
     """Generalized binomial coefficient with integer upper argument.
 
@@ -40,7 +34,7 @@ def gen_binomial(a: int, k: int) -> int:
     numerator = 1
     for i in range(k):
         numerator *= a - i
-    quotient, remainder = divmod(numerator, _factorial(k))
+    quotient, remainder = divmod(numerator, math.factorial(k))
     if remainder:
         raise AssertionError(f"falling factorial {numerator} not divisible by {k}!")
     return quotient
@@ -64,9 +58,9 @@ def _chain_terms(g: int, with_power_factor: bool) -> list[Fraction]:
     terms = []
     for k in range(3):
         term = Fraction(
-            gen_binomial(2 - g, k) * gen_binomial(2 * g + k - 3, g + k - 2) * _factorial(g),
-            _factorial(2 - k) * _factorial(2 * g + k - 3),
-        ) * _factorial(g - 1)
+            gen_binomial(2 - g, k) * gen_binomial(2 * g + k - 3, g + k - 2) * math.factorial(g),
+            math.factorial(2 - k) * math.factorial(2 * g + k - 3),
+        ) * math.factorial(g - 1)
         if with_power_factor:
             term *= 2**k
         terms.append(term)

@@ -171,11 +171,6 @@ def point_on(cover: BranchedCover, label: str, cycle: Sequence[int]) -> CoverPoi
     return point
 
 
-def ramification_profile(cover: BranchedCover, label: str) -> tuple[int, ...]:
-    """Cycle lengths over ``label`` including fixed sheets, longest first."""
-    return cover.perm_at(label).cycle_type()
-
-
 def genus(cover: BranchedCover) -> int:
     """Genus of a connected smooth cover, by Riemann-Hurwitz over the line."""
     if not cover.is_connected():

@@ -8,11 +8,11 @@ once is a fixed-point-free involution; its quotient is a degree-4
 (tetragonal) cover, and the parity of the number of exchanged choices
 gives a further degree-2 orientation cover.
 
-Transversals are indexed as ``groups`` sets out (``transversals``
-lists them in that order): index 1 is the transversal of all smaller
-sheets, complementing every choice sends ``t`` to ``9 - t``, and the
-parity classes of the orientation cover are counted relative to
-index 1.  So the involution and both sheet maps are the same for every
+Transversals are indexed as ``groups`` sets out
+(``groups.transversal_sheets`` lists them in that order): index 1 is
+the transversal of all smaller sheets, complementing every choice
+sends ``t`` to ``9 - t``, and the parity classes of the orientation
+cover are counted relative to index 1.  So the involution and both sheet maps are the same for every
 tower: ``construct`` returns the ``groups`` constants.  The sections,
 quotient and orientation covers are the tower's images under three of
 the block group's homomorphisms, made by one ``groups.derive`` pass
@@ -37,6 +37,8 @@ from .covers import (
     label_cycles,
 )
 from .groups import (
+    FIBER_DOUBLE_DOUBLE,
+    FIBER_QUADRUPLE,
     INVOLUTION,
     ORIENTATION,
     QUOTIENT,
@@ -45,27 +47,13 @@ from .groups import (
     TO_ORIENTATION,
     TO_QUOTIENT,
     block_rows,
+    classify_fiber,
     derive,
     transversal_sheets,
 )
 from .permutation import MEMO_SIZE, Permutation, conjugate
 from .report import CheckReport, CheckResult
-from .towers import ETALE, GENERAL, SPECIAL, BlockSystem, Tower, flip_weights
-
-
-@dataclass(frozen=True)
-class Transversal:
-    """One sheet chosen in each block, listed in block order."""
-
-    sheets: tuple[int, int, int]
-    index: int
-
-
-def transversals(blocks: BlockSystem) -> tuple[Transversal, ...]:
-    """All eight transversals in lexicographic order of their sheet triples."""
-    return tuple(
-        Transversal(sheets, t) for t, sheets in enumerate(transversal_sheets(blocks), start=1)
-    )
+from .towers import ETALE, GENERAL, SPECIAL, Tower, flip_weights
 
 
 @dataclass(frozen=True)
@@ -131,13 +119,13 @@ def special_nodes(tower: Tower, result: ForwardResult) -> NodeMarkers:
     label = tower.flips[0].label
     (spare,) = set(range(1, 4)) - {p.cycle[0] for p in tower.flips}  # 1-based block indices
     smaller = tower.blocks[spare - 1][0]
-    chosen = {t.index: t.sheets[spare - 1] for t in transversals(tower.blocks)}
+    sheets = transversal_sheets(tower.blocks)  # transversal t at position t - 1
 
     # orbits of the section action at the flip label, grouped by the
     # choice made on the unflipped block
     by_choice: dict[bool, list[tuple[int, ...]]] = {True: [], False: []}
     for cycle in result.sections.perm_at(label).cycles():
-        by_choice[chosen[cycle[0]] == smaller].append(cycle)
+        by_choice[sheets[cycle[0] - 1][spare - 1] == smaller].append(cycle)
 
     node_pairs = []
     for choice in (True, False):
@@ -228,19 +216,11 @@ def verify_predictions(tower: Tower, result: ForwardResult) -> CheckReport:
                 go == 0 and result.orientation.is_connected(),
                 f"genus {go}",
             )
-            double_double = [
-                label
-                for label in result.quotient.labels
-                if result.quotient.perm_at(label).cycle_type() == (2, 2)
-            ]
-            others_fixed = all(
-                1 in result.quotient.perm_at(label).cycle_type()
-                for label in result.quotient.labels
-                if label not in double_double
-            )
+            fibers = {label: classify_fiber(p) for label, p in result.quotient.entries()}
+            double_double = [label for label, fiber in fibers.items() if fiber == FIBER_DOUBLE_DOUBLE]
             add(
                 "quotient-two-double-double-labels",
-                len(double_double) == 2 and others_fixed,
+                len(double_double) == 2 and FIBER_QUADRUPLE not in fibers.values(),
                 f"(2,2) at {double_double!r}",
             )
     elif tower.mode == SPECIAL:

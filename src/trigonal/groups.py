@@ -11,7 +11,19 @@ homomorphism out of that group:
   ORIENTATION  that action on the two parity classes, to S2
 
 On the inverse side S4 acts on the six sheet pairs, to S6, and through
-them on the three pair partitions, to S3.  Transversals are indexed
+them on the three pair partitions, to S3.  A fibre of a tetragonal
+(degree-4) cover has a type fixed by the cycle type of its entry:
+
+  1. unbranched            - never stored, identity entries are dropped
+  2. one transposition     - simple ramification downstairs and upstairs
+  3. one 3-cycle           - one point of multiplicity three on each level
+  4. two transpositions    - two fixed partitions each carry a 2-cycle
+                             of pairs: a node plus a smooth point
+  5. one 4-cycle           - a transposed partition pair under a 4-cycle
+                             of pairs, and a fixed partition under a
+                             2-cycle: a node with one ramified branch
+
+Transversals are indexed
 lexicographically: blocks in order of their smallest sheet, each block
 ascending, transversal ``t`` choosing the larger sheet where the bit
 triple of ``t - 1`` is set.  So complementing every choice sends ``t``
@@ -78,17 +90,6 @@ class BlockSystem:
     def __getitem__(self, i: int) -> tuple[int, int]:
         return self.blocks[i]
 
-    def block_index(self, sheet: int) -> int:
-        """1-based index of the block containing ``sheet``."""
-        for i, block in enumerate(self.blocks):
-            if sheet in block:
-                return i + 1
-        raise ValueError(f"sheet {sheet} outside 1..6")
-
-    def partner(self, sheet: int) -> int:
-        block = self.blocks[self.block_index(sheet) - 1]
-        return block[1] if sheet == block[0] else block[0]
-
 
 SECTION_COUNT = 8
 # involution classes {t, 9 - t}, numbered by their smaller member
@@ -153,6 +154,27 @@ def partition_action(perm: Permutation) -> Permutation:
     return block_action(pairs_action(perm), PARTITION_BLOCKS)
 
 
+FIBER_SIMPLE = 2
+FIBER_TRIPLE = 3
+FIBER_DOUBLE_DOUBLE = 4
+FIBER_QUADRUPLE = 5
+
+_TYPE_BY_CYCLES = {
+    (1, 1, 1, 1): 1,
+    (2, 1, 1): FIBER_SIMPLE,
+    (3, 1): FIBER_TRIPLE,
+    (2, 2): FIBER_DOUBLE_DOUBLE,
+    (4,): FIBER_QUADRUPLE,
+}
+
+
+def classify_fiber(perm: Permutation) -> int:
+    """Fibre type 1-5 of a degree-4 monodromy entry by cycle type."""
+    if perm.degree != 4:
+        raise ValueError("fibre types are defined for degree-4 permutations")
+    return _TYPE_BY_CYCLES[perm.cycle_type()]
+
+
 class Rows(dict):
     """Image tuple of a group element -> its row, built by ``build`` on a
     miss; ``degrees`` are the target degrees of the leading columns."""
@@ -187,11 +209,11 @@ def block_rows(blocks: BlockSystem) -> Rows:
 
 
 def _block_row(perm: Permutation, blocks: BlockSystem) -> tuple:
-    # sections first: an entry tearing the blocks is then reported by the
-    # first transversal it does not carry onto one, as ``induced_cover``
-    # on the transversals reports it
-    sections = sections_action(perm, blocks)
+    # the block image first: an entry tearing the blocks is then reported
+    # by the first block it does not carry onto one, which is the error
+    # ``validate_tower`` lists for it
     block = block_action(perm, blocks)
+    sections = sections_action(perm, blocks)
     flips = []
     for block_cycle in block.cycles(include_fixed=True):
         upstairs = perm.cycle_through(min(s for bi in block_cycle for s in blocks[bi - 1]))

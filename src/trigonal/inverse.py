@@ -12,22 +12,13 @@ are the images of the input under S4's pairs and partition
 homomorphisms, made by one ``groups.derive`` pass over its entries
 from the S4 table rows.
 
-A fibre of the tetragonal cover is classified by its cycle type:
-
-  1. unbranched            - never stored, identity entries are dropped
-  2. one transposition     - simple ramification downstairs and upstairs
-  3. one 3-cycle           - one point of multiplicity three on each level
-  4. two transpositions    - two fixed partitions each carry a 2-cycle
-                             of pairs: a node plus a smooth point
-  5. one 4-cycle           - a transposed partition pair under a 4-cycle
-                             of pairs, and a fixed partition under a
-                             2-cycle: a node with one ramified branch
-
-Types 4 and 5 are exactly the fibres where the pairs cover, a tower
-over the partitions, ramifies over the partition cover, and it does
-so in two points.  ``_glue_flips`` glues them, and their cycles of
-pairs upstairs, as it glues a twisted tower's flip points in
-``expected_inverse``: one rule for both directions.
+A fibre of the tetragonal cover has a type 1-5 by its cycle type
+(``groups.classify_fiber``).  Types 4 and 5 are exactly the fibres
+where the pairs cover, a tower over the partitions, ramifies over the
+partition cover, and it does so in two points.  ``_glue_flips`` glues
+them, and their cycles of pairs upstairs, as it glues a twisted
+tower's flip points in ``expected_inverse``: one rule for both
+directions.
 
 Node markers stay side-band data on the normalizations, which is what
 lets the smooth machinery keep running underneath.
@@ -54,7 +45,17 @@ from .covers import (
     nodal_isomorphisms,
 )
 from .forward import construct
-from .groups import COMPLEMENT, FLIPS, PARTITION_BLOCKS, S4_ROWS, block_rows, derive
+from .groups import (
+    COMPLEMENT,
+    FIBER_DOUBLE_DOUBLE,
+    FIBER_QUADRUPLE,
+    FLIPS,
+    PARTITION_BLOCKS,
+    S4_ROWS,
+    block_rows,
+    classify_fiber,
+    derive,
+)
 from .permutation import Permutation, compose
 from .report import CheckReport, CheckResult
 from .towers import (
@@ -70,31 +71,6 @@ STRATUM_M0 = "m0"
 STRATUM_M1 = "m1"
 STRATUM_M2 = "m2"
 STRATUM_OTHER = "other"
-
-FIBER_SIMPLE = 2
-FIBER_TRIPLE = 3
-FIBER_DOUBLE_DOUBLE = 4
-FIBER_QUADRUPLE = 5
-
-_TYPE_BY_CYCLES = {
-    (1, 1, 1, 1): 1,
-    (2, 1, 1): FIBER_SIMPLE,
-    (3, 1): FIBER_TRIPLE,
-    (2, 2): FIBER_DOUBLE_DOUBLE,
-    (4,): FIBER_QUADRUPLE,
-}
-
-
-def complement_involution() -> Permutation:
-    """Pair complementation, as a permutation of pair indices."""
-    return COMPLEMENT
-
-
-def classify_fiber(perm: Permutation) -> int:
-    """Fibre type 1-5 of a degree-4 monodromy entry by cycle type."""
-    if perm.degree != 4:
-        raise ValueError("fibre types are defined for degree-4 permutations")
-    return _TYPE_BY_CYCLES[perm.cycle_type()]
 
 
 @dataclass(frozen=True)

@@ -304,8 +304,8 @@ def check_report_to_dict(report: CheckReport) -> dict:
     }
 
 
-def batch_report_to_dict(report: BatchReport, include_timing: bool = False) -> dict:
-    payload = {
+def batch_report_to_dict(report: BatchReport) -> dict:
+    return {
         "suite": report.suite,
         "passed": report.passed,
         "instance_count": len(report.instances),
@@ -327,15 +327,9 @@ def batch_report_to_dict(report: BatchReport, include_timing: bool = False) -> d
             for inst in report.instances
         ],
     }
-    if include_timing:
-        payload["elapsed_seconds"] = report.elapsed_seconds
-    return payload
 
 
 def chain_rows_to_dict(rows: Sequence[ChainRow]) -> dict:
-    def fraction_str(value) -> str:
-        return str(value)
-
     return {
         "genus_min": rows[0].genus if rows else None,
         "genus_max": rows[-1].genus if rows else None,
@@ -344,9 +338,9 @@ def chain_rows_to_dict(rows: Sequence[ChainRow]) -> dict:
             {
                 "genus": r.genus,
                 "reduced_identity": r.reduced,
-                "chain": fraction_str(r.chain),
-                "chain_terms": [fraction_str(t) for t in r.chain_terms],
-                "variant_with_power_factor": fraction_str(r.variant_with_power_factor),
+                "chain": str(r.chain),
+                "chain_terms": [str(t) for t in r.chain_terms],
+                "variant_with_power_factor": str(r.variant_with_power_factor),
                 "variants_agree": r.chain == r.variant_with_power_factor,
             }
             for r in rows

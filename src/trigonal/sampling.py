@@ -44,6 +44,8 @@ SAMPLE_M0 = "m0"
 SAMPLE_KINDS = MODES + (SAMPLE_M0,)
 
 CANONICAL_BLOCKS = BlockSystem.from_pairs([(1, 2), (3, 4), (5, 6)])
+# candidates a sampler draws before it gives up with ``RuntimeError``
+MAX_RETRIES = 1000
 
 
 class SplitMix64:
@@ -87,7 +89,6 @@ class SampleConfig:
     genus: int
     mode: str
     seed: int
-    max_retries: int = 1000
     three_cycle_labels: int = 0
 
     def __post_init__(self) -> None:
@@ -96,8 +97,6 @@ class SampleConfig:
         minimum = 2 if self.mode == SAMPLE_M0 else 3
         if self.genus < minimum:
             raise ValueError(f"genus {self.genus} below the minimum {minimum} for {self.mode!r}")
-        if self.max_retries < 1:
-            raise ValueError("max_retries must be positive")
         if self.three_cycle_labels < 0:
             raise ValueError("three_cycle_labels must be non-negative")
         if self.transposition_labels < 0:
@@ -163,12 +162,12 @@ def _draw_base(rng: SplitMix64, cfg: SampleConfig, degree: int) -> list[Permutat
 
 
 @functools.lru_cache(maxsize=MEMO_SIZE)
-def _etale_lifts(action: Permutation, blocks: BlockSystem) -> tuple[Permutation, ...]:
-    """The lifts of a block action that keep the in-block double cover
-    unramified over every point of the base fibre, ordered by lift vector
-    ``v`` (``v[j]`` set: block ``j + 1``'s smaller sheet goes to the
-    larger one of its image): the lifts whose ``v`` sums to an even
-    number around every block cycle, so is zero on fixed blocks."""
+def _etale_lifts(action: Permutation) -> tuple[Permutation, ...]:
+    """The lifts of a block action on ``CANONICAL_BLOCKS`` that keep the
+    in-block double cover unramified over every point of the base fibre,
+    ordered by lift vector ``v`` (``v[j]`` set: block ``j + 1``'s smaller
+    sheet goes to the larger one of its image): those whose ``v`` sums to
+    an even number around every block cycle, so is zero on fixed blocks."""
     lifts = []
     cycles = action.cycles(include_fixed=True)
     for bits in range(8):
@@ -178,13 +177,13 @@ def _etale_lifts(action: Permutation, blocks: BlockSystem) -> tuple[Permutation,
         images = [0] * 6
         for j in range(3):
             for pos in range(2):
-                images[blocks[j][pos] - 1] = blocks[action(j + 1) - 1][pos ^ v[j]]
+                images[CANONICAL_BLOCKS[j][pos] - 1] = CANONICAL_BLOCKS[action(j + 1) - 1][pos ^ v[j]]
         lifts.append(Permutation(tuple(images)))
     return tuple(lifts)
 
 
-def _flip(blocks_to_flip: Sequence[int], blocks: BlockSystem) -> Permutation:
-    cycles = [blocks[j - 1] for j in blocks_to_flip]
+def _flip(blocks_to_flip: Sequence[int]) -> Permutation:
+    cycles = [CANONICAL_BLOCKS[j - 1] for j in blocks_to_flip]
     return Permutation.from_cycles(6, cycles)
 
 
@@ -202,28 +201,27 @@ def sample_tower(cfg: SampleConfig) -> Tower:
     if cfg.mode == SAMPLE_M0:
         raise ValueError("m0 configs sample tetragonal covers; use sample_tetragonal")
     rng = SplitMix64(cfg.seed)
-    blocks = CANONICAL_BLOCKS
     label_count = cfg.transposition_labels + cfg.three_cycle_labels
     width = max(2, len(str(label_count)))
 
-    for _ in range(cfg.max_retries):
+    for _ in range(MAX_RETRIES):
         base = _draw_base(rng, cfg, 3)
         if base is None:
             continue
 
         if cfg.mode == GENERAL:
-            flips = [_flip((1 + rng.below(3),), blocks), _flip((1 + rng.below(3),), blocks)]
+            flips = [_flip((1 + rng.below(3),)), _flip((1 + rng.below(3),))]
         elif cfg.mode == SPECIAL:
             kept = rng.below(3) + 1
-            flips = [_flip(tuple(sorted(set((1, 2, 3)) - {kept})), blocks)]
+            flips = [_flip(tuple(sorted(set((1, 2, 3)) - {kept})))]
         else:
             flips = []
 
-        lifts = [rng.choice(_etale_lifts(action, blocks)) for action in base[:-1]]
+        lifts = [rng.choice(_etale_lifts(action)) for action in base[:-1]]
         # the block action is a homomorphism and flips act trivially on
         # blocks, so the solved lift acts on blocks as base[-1]
         last = _solve_last(lifts, flips, 6)
-        if last not in _etale_lifts(base[-1], blocks):
+        if last not in _etale_lifts(base[-1]):
             continue
         lifts.append(last)
 
@@ -231,14 +229,14 @@ def sample_tower(cfg: SampleConfig) -> Tower:
         entries += [(f"f{i + 1}", p) for i, p in enumerate(flips)]
         try:
             cover = BranchedCover.from_pairs(6, entries)
-            tower = validate_tower(cover, blocks)
+            tower = validate_tower(cover, CANONICAL_BLOCKS)
         except (ValueError, TowerValidationError):
             continue
         if tower.mode != cfg.mode or tower.genus != cfg.genus:
             continue
         return tower
     raise RuntimeError(
-        f"retry budget {cfg.max_retries} exhausted sampling a {cfg.mode} tower of genus {cfg.genus}"
+        f"retry budget {MAX_RETRIES} exhausted sampling a {cfg.mode} tower of genus {cfg.genus}"
     )
 
 
@@ -249,7 +247,7 @@ def sample_tetragonal(cfg: SampleConfig) -> TetragonalCover:
     rng = SplitMix64(cfg.seed)
     label_count = cfg.transposition_labels + cfg.three_cycle_labels
     width = max(2, len(str(label_count)))
-    for _ in range(cfg.max_retries):
+    for _ in range(MAX_RETRIES):
         base = _draw_base(rng, cfg, 4)
         if base is None:
             continue
@@ -261,5 +259,5 @@ def sample_tetragonal(cfg: SampleConfig) -> TetragonalCover:
             continue
         return tetragonal
     raise RuntimeError(
-        f"retry budget {cfg.max_retries} exhausted sampling an m0 cover of genus {cfg.genus}"
+        f"retry budget {MAX_RETRIES} exhausted sampling an m0 cover of genus {cfg.genus}"
     )

@@ -8,9 +8,9 @@ the "flip" labels; the double cover is ramified exactly at the flipped
 blocks.  A tower is Etale (no flips), General (two flips over distinct
 labels) or Special (one label flipping two of its three blocks).
 
-``BlockSystem`` and ``block_action`` live in ``groups``, with the block
-group's table rows; the trigonal curve and the flip points are read
-from each entry's row.
+``BlockSystem`` lives in ``groups``, with the block group's table
+rows; the trigonal curve and the flip points are read from each
+entry's row.
 """
 from __future__ import annotations
 
@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .covers import BranchedCover, CoverPoint, genus
-from .groups import BLOCK, FLIPS, BlockSystem, block_action, block_rows, derive
+from .groups import BLOCK, FLIPS, BlockSystem, block_rows, derive
 
 ETALE = "etale"
 GENERAL = "general"
@@ -91,14 +91,15 @@ def validate_tower(cover: BranchedCover, blocks: BlockSystem) -> Tower:
     if cover.degree != 6:
         raise TowerValidationError([f"tower cover must have degree 6, got {cover.degree}"])
 
+    rows = block_rows(blocks)
     try:
         # one row lookup per entry; a row builds exactly when the entry
         # preserves the blocks
-        (trigonal,) = derive(cover, block_rows(blocks), (BLOCK,))
+        (trigonal,) = derive(cover, rows, (BLOCK,))
     except ValueError:
         for label, perm in cover.entries():
             try:
-                block_action(perm, blocks)
+                rows[perm.images]
             except ValueError as err:
                 errors.append(f"monodromy at {label!r} does not preserve the blocks: {err}")
         raise TowerValidationError(errors) from None
@@ -130,10 +131,9 @@ def validate_tower(cover: BranchedCover, blocks: BlockSystem) -> Tower:
     if errors:
         raise TowerValidationError(errors)
 
-    flip_labels = {p.label for p in flips}
     if not flips:
         mode = ETALE
-    elif len(flip_labels) == 2:
+    elif len(weights) == 2:
         mode = GENERAL
     else:
         mode = SPECIAL
@@ -147,15 +147,3 @@ def validate_tower(cover: BranchedCover, blocks: BlockSystem) -> Tower:
         mode=mode,
         warnings=tuple(warnings),
     )
-
-
-def double_cover_genus(tower: Tower) -> int:
-    """Genus of the degree-6 curve on top, checked against the double
-    cover relation: 2g of the base plus one less when unramified."""
-    value = genus(tower.cover)
-    expected = 2 * tower.genus if tower.flips else 2 * tower.genus - 1
-    if value != expected:
-        raise AssertionError(
-            f"double cover genus {value} does not match {expected} over genus {tower.genus}"
-        )
-    return value

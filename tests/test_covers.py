@@ -21,7 +21,6 @@ from trigonal import (
     induced_cover,
     label_cycles,
     nodal_isomorphism,
-    ramification_profile,
 )
 from trigonal.covers import iter_isomorphisms, nodal_isomorphisms, point_on
 from trigonal.jsonio import cover_from_dict
@@ -136,8 +135,8 @@ def test_ramification_profile():
             ("b", Permutation.from_cycles(4, [(1, 3, 2)])),
         ],
     )
-    assert ramification_profile(cover, "a") == (3, 1)
-    assert ramification_profile(cover, "absent") == (1, 1, 1, 1)
+    assert cover.perm_at("a").cycle_type() == (3, 1)
+    assert cover.perm_at("absent").cycle_type() == (1, 1, 1, 1)
 
 
 def test_components_split_and_restrict():

@@ -16,10 +16,10 @@ from trigonal import (
     construct,
     genus,
     sections_action,
-    transversals,
     validate_tower,
     verify_predictions,
 )
+from trigonal.groups import transversal_sheets
 
 from conftest import BLOCK_GROUP, CANONICAL_BLOCKS
 from test_towers import ETALE_COVER, GENERAL_COVER, SPECIAL_COVER
@@ -30,13 +30,14 @@ GENERAL = validate_tower(GENERAL_COVER, CANONICAL_BLOCKS)
 
 
 def test_transversals_enumerate_lexicographically():
-    ts = transversals(CANONICAL_BLOCKS)
-    assert len(ts) == 8
-    assert ts[0].sheets == (1, 3, 5)
-    assert ts[1].sheets == (1, 3, 6)
-    assert ts[6].sheets == (2, 4, 5)
-    assert ts[7].sheets == (2, 4, 6)
-    assert [t.index for t in ts] == list(range(1, 9))
+    # transversal t is the one at position t - 1
+    ts = transversal_sheets(CANONICAL_BLOCKS)
+    assert len(set(ts)) == 8
+    assert list(ts) == sorted(ts)
+    assert ts[0] == (1, 3, 5)
+    assert ts[1] == (1, 3, 6)
+    assert ts[6] == (2, 4, 5)
+    assert ts[7] == (2, 4, 6)
 
 
 # -- the local dictionary (one entry per local type) -------------------------
@@ -107,11 +108,11 @@ def test_quotient_action_rejects_a_permutation_not_commuting_with_the_involution
 
 
 def test_sections_action_moves_transversals_as_sheet_sets():
-    ts = transversals(CANONICAL_BLOCKS)
-    by_set = {frozenset(t.sheets): t.index for t in ts}
+    ts = list(enumerate(transversal_sheets(CANONICAL_BLOCKS), start=1))
+    by_set = {frozenset(sheets): t for t, sheets in ts}
     for p in BLOCK_GROUP:
         action = sections_action(p, CANONICAL_BLOCKS)
-        assert all(action(t.index) == by_set[frozenset(map(p, t.sheets))] for t in ts)
+        assert all(action(t) == by_set[frozenset(map(p, sheets))] for t, sheets in ts)
 
 
 # -- the three fixture constructions -----------------------------------------

@@ -14,7 +14,6 @@ from trigonal import (
     are_isomorphic,
     block_action,
     classify_fiber,
-    complement_involution,
     component_tetragonal,
     compose,
     construct,
@@ -29,7 +28,7 @@ from trigonal import (
     validate_tower,
 )
 from trigonal.covers import CoverPoint
-from trigonal.groups import FLIPS, S4_ROWS, block_rows, derive
+from trigonal.groups import COMPLEMENT, FLIPS, S4_ROWS, block_rows, derive
 from trigonal.inverse import PARTITION_BLOCKS, _glue_flips
 from trigonal.jsonio import dumps_canonical, inverse_result_to_dict
 
@@ -42,7 +41,7 @@ def test_pairs_enumerate_lexicographically():
 
 
 def test_complement_involution_reverses_the_pair_list():
-    assert complement_involution().images == (6, 5, 4, 3, 2, 1)
+    assert COMPLEMENT.images == (6, 5, 4, 3, 2, 1)
 
 
 def test_pairs_action_profiles():
@@ -58,7 +57,7 @@ def test_pairs_action_profiles():
 
 
 def test_pairs_action_commutes_with_complement_on_all_of_s4():
-    kappa = complement_involution()
+    kappa = COMPLEMENT
     for p in S4:
         induced = pairs_action(p)
         assert compose(induced, kappa) == compose(kappa, induced)
@@ -66,7 +65,7 @@ def test_pairs_action_commutes_with_complement_on_all_of_s4():
 
 def test_partition_step_rejects_a_permutation_not_commuting_with_the_complement():
     # partition_action is block_action on the complement's orbits
-    kappa = complement_involution()
+    kappa = COMPLEMENT
     swap = Permutation.from_cycles(6, [(1, 2)])
     assert compose(swap, kappa) != compose(kappa, swap)
     with pytest.raises(ValueError, match="not a point"):

@@ -174,7 +174,6 @@ def test_schema_validation_of_live_documents(validator):
     validator("inverse_result", inverse_result_to_dict(invert(tet)))
     report = run_batch("general-props", spread_configs("general-props", 2, 0, 3, 4))
     validator("batch_report", batch_report_to_dict(report))
-    validator("batch_report", batch_report_to_dict(report, include_timing=True))
 
 
 def test_schema_validation_of_fixtures(validator, fixture_doc):

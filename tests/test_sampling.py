@@ -11,6 +11,7 @@ from trigonal import (
     sample_tetragonal,
     sample_tower,
 )
+from trigonal import sampling
 
 
 def test_splitmix_reference_sequence():
@@ -49,8 +50,6 @@ def test_config_validation():
         SampleConfig(genus=1, mode="m0", seed=0)
     with pytest.raises(ValueError):
         SampleConfig(genus=3, mode="nonsense", seed=0)
-    with pytest.raises(ValueError):
-        SampleConfig(genus=3, mode="general", seed=0, max_retries=0)
     with pytest.raises(ValueError):
         SampleConfig(genus=3, mode="etale", seed=0, three_cycle_labels=99)
     # m0 allows genus 2, towers start at 3
@@ -91,9 +90,10 @@ def test_mode_to_sampler_pairing_is_enforced():
         sample_tetragonal(SampleConfig(genus=3, mode="general", seed=0))
 
 
-def test_retry_budget_exhaustion_raises():
+def test_retry_budget_exhaustion_raises(monkeypatch):
+    monkeypatch.setattr(sampling, "MAX_RETRIES", 1)
     with pytest.raises(RuntimeError):
-        sample_tower(SampleConfig(genus=3, mode="general", seed=0, max_retries=1))
+        sample_tower(SampleConfig(genus=3, mode="general", seed=0))
 
 
 def test_three_cycle_labels_opt_in():

@@ -8,7 +8,6 @@ from trigonal import (
     Permutation,
     TowerValidationError,
     block_action,
-    double_cover_genus,
     flip_points,
     genus,
     validate_tower,
@@ -38,8 +37,6 @@ GENERAL_COVER = tower_cover([A, A2, A, A, A, A, A, A, C, C], [F1, F2])
 def test_block_system_canonicalizes():
     blocks = BlockSystem.from_pairs([(6, 5), (2, 1), (4, 3)])
     assert blocks.blocks == ((1, 2), (3, 4), (5, 6))
-    assert blocks.block_index(4) == 2
-    assert blocks.partner(5) == 6
     with pytest.raises(ValueError):
         BlockSystem.from_pairs([(1, 2), (2, 3), (4, 5)])
     with pytest.raises(ValueError):
@@ -156,13 +153,6 @@ def test_memoized_flip_points_match_the_loop_on_the_whole_block_group():
                     continue
                 cover = BranchedCover.from_pairs(6, [("a", p), ("b", p.inverse())])
                 assert flip_points(cover, blocks) == _reference_flip_points(cover, blocks)
-
-
-def test_double_cover_genus_matches_mode():
-    special = validate_tower(SPECIAL_COVER, CANONICAL_BLOCKS)
-    etale = validate_tower(ETALE_COVER, CANONICAL_BLOCKS)
-    assert double_cover_genus(special) == 2 * 3
-    assert double_cover_genus(etale) == 2 * 3 - 1
 
 
 @given(block_preserving_permutations(), block_preserving_permutations())
