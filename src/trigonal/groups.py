@@ -28,7 +28,7 @@ lexicographically: blocks in order of their smallest sheet, each block
 ascending, transversal ``t`` choosing the larger sheet where the bit
 triple of ``t - 1`` is set.  So complementing every choice sends ``t``
 to ``9 - t``, and parity counts larger sheets chosen.  Pairs are
-indexed lexicographically and partitions by the partner of sheet 1, so
+indexed lexicographically and partitions by the pair holding sheet 1, so
 the partitions are the blocks (1,6), (2,5), (3,4) of pair indices.
 
 The involution t -> 9 - t, the sheet maps onto the involution and

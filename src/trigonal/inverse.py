@@ -5,7 +5,7 @@ and complementation of pairs is a fixed-point-free involution
 commuting with it; its three orbits are the pair partitions
 ``{12|34}``, ``{13|24}``, ``{14|23}``, which underlie a degree-3
 cover.  Pairs are indexed lexicographically and partitions by the
-partner of sheet 1, so the complement swaps pair indices 1/6, 2/5,
+pair holding sheet 1, so the complement swaps pair indices 1/6, 2/5,
 3/4 (the constant ``groups.COMPLEMENT``) and the partitions are the
 blocks (1,6), (2,5), (3,4).  The pairs cover and the partition cover
 are the images of the input under S4's pairs and partition
