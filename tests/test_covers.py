@@ -4,7 +4,7 @@ import gc
 import itertools
 
 import pytest
-from hypothesis import assume, given
+from hypothesis import given
 from hypothesis import strategies as st
 
 from trigonal import (
@@ -25,7 +25,7 @@ from trigonal import (
 from trigonal.covers import iter_isomorphisms, nodal_isomorphisms, point_on
 from trigonal.jsonio import cover_from_dict
 
-from conftest import disconnected_covers, permutations, transitive_covers
+from conftest import disconnected_covers, permutations, product_one_tuples, transitive_covers
 
 
 def two_sheet_cover(transposition_count):
@@ -314,9 +314,12 @@ def _cover_pairs(draw, pairing):
         return first, first
     if pairing == "conjugated":
         return first, _relabel(first, draw(permutations(degree)))
-    second = draw(_covers(degree))
-    assume(second.labels == first.labels)
-    return first, second
+    # the second cover is drawn over the first's labels, so the search
+    # compares covers over one label set without filtering draws
+    if not first.labels:
+        return first, BranchedCover(degree, (), ())
+    entries = draw(product_one_tuples(degree, len(first.labels)))
+    return first, BranchedCover(degree, first.labels, tuple(entries))
 
 
 @st.composite

@@ -13,6 +13,7 @@ from trigonal import (
     component_tetragonal,
     components,
     compose,
+    conjugate,
     construct,
     genus,
     sections_action,
@@ -264,3 +265,17 @@ def test_diagram_commutes_names_the_first_four_broken_squares():
         "quotient square breaks at h01/1; quotient square breaks at h02/1; "
         "orientation square breaks at h02/1; quotient square breaks at h02/7"
     )
+
+
+def test_diagram_commutes_fails_on_a_relabeled_sections_cover():
+    # the sections cover conjugated by the sheet transposition (1 2) is
+    # isomorphic to the tower's image but is not it: the squares under
+    # the result's sheet maps no longer commute
+    result = construct(GENERAL)
+    swap = Permutation.from_cycles(8, [(1, 2)])
+    sections = BranchedCover.from_pairs(
+        8, [(label, conjugate(perm, swap)) for label, perm in result.sections.entries()]
+    )
+    result = dataclasses.replace(result, sections=sections)
+    (check,) = [c for c in verify_predictions(GENERAL, result).checks if c.name == "diagram-commutes"]
+    assert not check.passed
