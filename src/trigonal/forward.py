@@ -37,17 +37,20 @@ from .covers import (
     label_cycles,
 )
 from .groups import (
+    CYCLE_COUNTS,
     FIBER_DOUBLE_DOUBLE,
     FIBER_QUADRUPLE,
+    FIBER_TYPE,
     INVOLUTION,
     ORIENTATION,
     QUOTIENT,
+    S4_ROWS,
     SECTION_COUNT,
     SECTIONS,
     TO_ORIENTATION,
     TO_QUOTIENT,
+    BlockSystem,
     block_rows,
-    classify_fiber,
     derive,
     transversal_sheets,
 )
@@ -182,7 +185,8 @@ def verify_predictions(tower: Tower, result: ForwardResult) -> CheckReport:
     the first failure.
     """
     g = tower.genus
-    checks = _shared_checks(result)
+    free = all(result.involution(t) != t for t in range(1, SECTION_COUNT + 1))
+    checks = _shared_checks(result, free)
 
     def add(name: str, passed: bool, detail: str = "") -> None:
         checks.append(CheckResult(name, passed, detail))
@@ -216,7 +220,10 @@ def verify_predictions(tower: Tower, result: ForwardResult) -> CheckReport:
                 go == 0 and result.orientation.is_connected(),
                 f"genus {go}",
             )
-            fibers = {label: classify_fiber(p) for label, p in result.quotient.entries()}
+            fibers = {
+                label: S4_ROWS[p.images][FIBER_TYPE]
+                for label, p in zip(result.quotient.labels, result.quotient.monodromy)
+            }
             double_double = [label for label, fiber in fibers.items() if fiber == FIBER_DOUBLE_DOUBLE]
             add(
                 "quotient-two-double-double-labels",
@@ -243,7 +250,6 @@ def verify_predictions(tower: Tower, result: ForwardResult) -> CheckReport:
                 {_component_of(parts, p.cycle[0]) for p in pair} == {0, 1}
                 for pair in nodes.sections.nodes
             )
-            free = all(result.involution(t) != t for t in range(1, SECTION_COUNT + 1))
             add(
                 "wirtinger-gluing",
                 crosswise and swapped and free,
@@ -261,41 +267,51 @@ def verify_predictions(tower: Tower, result: ForwardResult) -> CheckReport:
     return CheckReport(f"forward-predictions[{tower.mode}, g={g}]", tuple(checks))
 
 
-def _shared_checks(result: ForwardResult) -> list[CheckResult]:
-    tower = result.tower
-    checks: list[CheckResult] = []
+def _shared_checks(result: ForwardResult, free: bool) -> list[CheckResult]:
+    """The checks of every mode, from one row read per tower entry.
 
+    The rows' cycle counts give the involution-free criterion.  The
+    result's three covers must be the rows' images of the tower, entry
+    by entry, or ``diagram-commutes`` fails; its squares are then
+    checked on the rows' images under the result's sheet maps.
+    """
+    tower = result.tower
+    rows = block_rows(tower.blocks)
+    square_key = (tower.blocks.blocks, result.to_quotient, result.to_orientation)
+    derived = (
+        ("sections", result.sections, SECTIONS, [], []),
+        ("quotient", result.quotient, QUOTIENT, [], []),
+        ("orientation", result.orientation, ORIENTATION, [], []),
+    )
     freeness = []
-    for label in result.sections.labels:
-        up = len(label_cycles(result.sections, label))
-        down = len(label_cycles(result.quotient, label))
+    diagram = []
+    for label, perm in zip(tower.cover.labels, tower.cover.monodromy):
+        row = rows[perm.images]
+        up, down = row[CYCLE_COUNTS]
         if up != 2 * down:
             freeness.append(f"{label}: {up} vs {down}")
-    checks.append(
+        for _, _, column, labels, images in derived:
+            image = row[column]
+            if image is not None:
+                labels.append(label)
+                images.append(image)
+        for square, t in _square_breaks(perm.images, *square_key):
+            diagram.append(f"{square} square breaks at {label}/{t}")
+    mismatched = [
+        f"{name} cover is not the tower's image"
+        for name, cover, _, labels, images in derived
+        if cover.labels != tuple(labels) or cover.monodromy != tuple(images)
+    ]
+
+    checks = [
         CheckResult(
             "involution-free-criterion",
             not freeness,
             "; ".join(freeness) or "section cycles double the quotient cycles at every label",
-        )
-    )
-    checks.append(
-        CheckResult(
-            "involution-fixed-point-free",
-            all(result.involution(t) != t for t in range(1, SECTION_COUNT + 1)),
-        )
-    )
-
-    diagram = []
-    for label in tower.cover.labels:
-        breaks = _square_breaks(
-            result.sections.perm_at(label),
-            result.quotient.perm_at(label),
-            result.orientation.perm_at(label),
-            result.to_quotient,
-            result.to_orientation,
-        )
-        diagram.extend(f"{square} square breaks at {label}/{t}" for square, t in breaks)
-    checks.append(CheckResult("diagram-commutes", not diagram, "; ".join(diagram[:4])))
+        ),
+        CheckResult("involution-fixed-point-free", free),
+        CheckResult("diagram-commutes", not (mismatched or diagram), "; ".join((mismatched + diagram)[:4])),
+    ]
 
     odd_weight = {label for label, weight in flip_weights(tower.flips).items() if weight % 2}
     checks.append(
@@ -310,16 +326,22 @@ def _shared_checks(result: ForwardResult) -> list[CheckResult]:
 
 @functools.lru_cache(maxsize=MEMO_SIZE)
 def _square_breaks(
-    action: Permutation,
-    quotient: Permutation,
-    orientation: Permutation,
+    images: tuple[int, ...],
+    blocks: tuple[tuple[int, int], ...],
     to_quotient: tuple[int, ...],
     to_orientation: tuple[int, ...],
 ) -> tuple[tuple[str, int], ...]:
     """The transversals ``t`` at which the sheet maps fail to carry the
-    section action at one label onto its quotient or orientation action,
-    as ``(square, t)`` in ``t`` order, quotient before orientation.
-    Memoized on all five arguments: a few label triples recur."""
+    section action of the entry ``images`` onto its quotient or
+    orientation action (the entry's row over ``blocks``), as
+    ``(square, t)`` in ``t`` order, quotient before orientation.
+    Memoized on plain tuples: an instance's sheet maps are nearly always
+    the ``groups`` constants, so each entry is checked once."""
+    row = block_rows(BlockSystem(blocks))[images]
+    action, quotient, orientation = (
+        Permutation.identity(degree) if image is None else image
+        for image, degree in ((row[SECTIONS], SECTION_COUNT), (row[QUOTIENT], 4), (row[ORIENTATION], 2))
+    )
     breaks = []
     for t in range(1, SECTION_COUNT + 1):
         if to_quotient[action(t) - 1] != quotient(to_quotient[t - 1]):

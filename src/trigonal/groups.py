@@ -36,9 +36,13 @@ parity classes, and the pair complement are constants beside the
 classes that are their orbits or fibres.
 
 A row holds one group element's images, ``None`` standing for an
-identity image; a block row then holds the element's flip pattern,
-which is no image: it is outside ``Rows.degrees``, so ``derive`` and
-the homomorphism tests never read it.  Rows are keyed by the element's
+identity image, then facts about the element that are no images and
+sit outside ``Rows.degrees``, so ``derive`` and the homomorphism tests
+never read them.  A block row holds the element's flip pattern and its
+``(sections, quotient)`` cycle counts, fixed sheets included, whose
+ratio 2 is the involution-free criterion at the element's label; an S4
+row holds the element's fibre type.  So a per-instance check reads
+each fact once per entry instead of recounting cycles.  Rows are keyed by the element's
 image tuple, in one table per block system (so documents with any
 blocks work) and one for S4.  A row is built on a miss through
 ``induced_action``, so each image is validated when first built; a
@@ -168,13 +172,6 @@ _TYPE_BY_CYCLES = {
 }
 
 
-def classify_fiber(perm: Permutation) -> int:
-    """Fibre type 1-5 of a degree-4 monodromy entry by cycle type."""
-    if perm.degree != 4:
-        raise ValueError("fibre types are defined for degree-4 permutations")
-    return _TYPE_BY_CYCLES[perm.cycle_type()]
-
-
 class Rows(dict):
     """Image tuple of a group element -> its row, built by ``build`` on a
     miss; ``degrees`` are the target degrees of the leading columns."""
@@ -192,14 +189,15 @@ class Rows(dict):
         return row
 
 
-BLOCK, SECTIONS, QUOTIENT, ORIENTATION, FLIPS = range(5)
+BLOCK, SECTIONS, QUOTIENT, ORIENTATION, FLIPS, CYCLE_COUNTS = range(6)
 _BLOCK_DEGREES = (3, SECTION_COUNT, 4, 2)
 _BLOCK_ROWS: dict[BlockSystem, Rows] = {}
 
 
 def block_rows(blocks: BlockSystem) -> Rows:
     """The rows of the block group of ``blocks``: block, sections,
-    quotient and orientation images, then the flip pattern."""
+    quotient and orientation images, then the flip pattern and the
+    sections and quotient cycle counts."""
     rows = _BLOCK_ROWS.get(blocks)
     if rows is None:
         rows = _BLOCK_ROWS.setdefault(
@@ -219,16 +217,27 @@ def _block_row(perm: Permutation, blocks: BlockSystem) -> tuple:
         upstairs = perm.cycle_through(min(s for bi in block_cycle for s in blocks[bi - 1]))
         if len(upstairs) != len(block_cycle):
             flips.append((block_cycle, upstairs))
-    return block, sections, quotient_action(sections), orientation_action(sections), tuple(flips)
+    quotient = quotient_action(sections)
+    counts = (len(sections.cycles(include_fixed=True)), len(quotient.cycles(include_fixed=True)))
+    return block, sections, quotient, orientation_action(sections), tuple(flips), counts
 
 
-def _s4_row(perm: Permutation) -> tuple[Permutation, ...]:
+def _s4_row(perm: Permutation) -> tuple:
     pairs = pairs_action(perm)
-    return pairs, block_action(pairs, PARTITION_BLOCKS)
+    return pairs, block_action(pairs, PARTITION_BLOCKS), _TYPE_BY_CYCLES[perm.cycle_type()]
 
 
-# the rows of S4: pairs and partition images
+# the rows of S4: pairs and partition images, then the fibre type
 S4_ROWS = Rows((6, 3), _s4_row)
+FIBER_TYPE = 2
+
+
+def classify_fiber(perm: Permutation) -> int:
+    """Fibre type 1-5 of a degree-4 monodromy entry by cycle type, read
+    from its S4 row."""
+    if perm.degree != 4:
+        raise ValueError("fibre types are defined for degree-4 permutations")
+    return S4_ROWS[perm.images][FIBER_TYPE]
 
 
 def derive(

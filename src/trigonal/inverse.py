@@ -12,8 +12,9 @@ are the images of the input under S4's pairs and partition
 homomorphisms, made by one ``groups.derive`` pass over its entries
 from the S4 table rows.
 
-A fibre of the tetragonal cover has a type 1-5 by its cycle type
-(``groups.classify_fiber``).  Types 4 and 5 are exactly the fibres
+A fibre of the tetragonal cover has a type 1-5 by its cycle type,
+an entry of the S4 rows that the stratum and ``fiber_types`` read once
+per entry (``groups.classify_fiber``).  Types 4 and 5 are exactly the fibres
 where the pairs cover, a tower over the partitions, ramifies over the
 partition cover, and it does so in two points.  ``_glue_flips`` glues
 them, and their cycles of pairs upstairs, as it glues a twisted
@@ -49,11 +50,11 @@ from .groups import (
     COMPLEMENT,
     FIBER_DOUBLE_DOUBLE,
     FIBER_QUADRUPLE,
+    FIBER_TYPE,
     FLIPS,
     PARTITION_BLOCKS,
     S4_ROWS,
     block_rows,
-    classify_fiber,
     derive,
 )
 from .permutation import Permutation, compose
@@ -97,17 +98,22 @@ class TetragonalCover:
         return cover_genus(self.cover)
 
     def fiber_types(self) -> dict[str, int]:
-        return {label: classify_fiber(p) for label, p in self.cover.entries()}
+        return {
+            label: S4_ROWS[p.images][FIBER_TYPE]
+            for label, p in zip(self.cover.labels, self.cover.monodromy)
+        }
+
+
+# the strata by their number of (2,2) labels
+_STRATA_BY_DOUBLES = (STRATUM_M0, STRATUM_M1, STRATUM_M2)
 
 
 def _stratum(cover: BranchedCover) -> str:
-    types = [classify_fiber(p) for p in cover.monodromy]
+    types = [S4_ROWS[p.images][FIBER_TYPE] for p in cover.monodromy]
     doubles = types.count(FIBER_DOUBLE_DOUBLE)
-    if FIBER_QUADRUPLE in types:
+    if FIBER_QUADRUPLE in types or doubles >= len(_STRATA_BY_DOUBLES):
         return STRATUM_OTHER
-    if doubles <= 2:
-        return (STRATUM_M0, STRATUM_M1, STRATUM_M2)[doubles]
-    return STRATUM_OTHER
+    return _STRATA_BY_DOUBLES[doubles]
 
 
 @dataclass(frozen=True)
@@ -265,7 +271,7 @@ def roundtrip(tower: Tower) -> CheckReport:
     checks.append(
         CheckResult(
             "component-stratum",
-            tetragonal.stratum == (STRATUM_M0, STRATUM_M1, STRATUM_M2)[flips],
+            tetragonal.stratum == _STRATA_BY_DOUBLES[flips],
             f"stratum {tetragonal.stratum!r}",
         )
     )

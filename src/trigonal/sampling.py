@@ -70,6 +70,13 @@ class SplitMix64:
     def choice(self, seq: Sequence):
         return seq[self.below(len(seq))]
 
+    def choice_each(self, pools: Sequence[Sequence]) -> list:
+        """One ``choice`` from each of ``pools`` in turn, in one loop over
+        ``next_u64``: the draws and the stream that successive ``choice``
+        calls make."""
+        next_u64 = self.next_u64
+        return [pool[next_u64() % len(pool)] for pool in pools]
+
 
 def derive_seed(master: int, index: int) -> int:
     """Stable per-instance sub-seed; independent of evaluation order."""
@@ -144,16 +151,17 @@ def _solve_last(prefix: Sequence[Permutation], suffix: Sequence[Permutation], de
     return compose(product(tuple(suffix), degree), product(tuple(prefix), degree)).inverse()
 
 
-def _draw_base(rng: SplitMix64, cfg: SampleConfig, degree: int) -> list[Permutation] | None:
+def _base_pools(cfg: SampleConfig, degree: int) -> list[tuple[Permutation, ...]]:
+    """The entry pool of each base label: transpositions, then 3-cycles."""
     transpositions = _BASE_TRANSPOSITIONS if degree == 3 else _TET_TRANSPOSITIONS
     three_cycles = _BASE_THREE_CYCLES if degree == 3 else _TET_THREE_CYCLES
-    wanted = [2] * cfg.transposition_labels + [3] * cfg.three_cycle_labels
-    drawn = [
-        rng.choice(transpositions if w == 2 else three_cycles) for w in wanted[:-1]
-    ]
+    return [transpositions] * cfg.transposition_labels + [three_cycles] * cfg.three_cycle_labels
+
+
+def _draw_base(rng: SplitMix64, pools: list[tuple[Permutation, ...]], degree: int) -> list[Permutation] | None:
+    drawn = rng.choice_each(pools[:-1])
     last = _solve_last(drawn, (), degree)
-    want_type = (2,) + (1,) * (degree - 2) if wanted[-1] == 2 else (3,) + (1,) * (degree - 3)
-    if last.cycle_type() != want_type:
+    if last not in pools[-1]:
         return None
     drawn.append(last)
     if len(orbits(drawn, degree)) != 1:
@@ -182,13 +190,19 @@ def _etale_lifts(action: Permutation) -> tuple[Permutation, ...]:
     return tuple(lifts)
 
 
-def _flip(blocks_to_flip: Sequence[int]) -> Permutation:
-    cycles = [CANONICAL_BLOCKS[j - 1] for j in blocks_to_flip]
-    return Permutation.from_cycles(6, cycles)
+# the flips of one block j at position j - 1, and of the two blocks
+# other than block j at position j - 1
+_SINGLE_FLIPS = tuple(Permutation.from_cycles(6, [block]) for block in CANONICAL_BLOCKS)
+_DOUBLE_FLIPS = tuple(
+    Permutation.from_cycles(6, [b for b in CANONICAL_BLOCKS if b != kept]) for kept in CANONICAL_BLOCKS
+)
 
 
-def _label(prefix: str, i: int, width: int) -> str:
-    return f"{prefix}{i + 1:0{width}d}"
+def _labels(prefix: str, cfg: SampleConfig) -> tuple[str, ...]:
+    """The names of the base labels, numbered from 1 at one width."""
+    count = cfg.transposition_labels + cfg.three_cycle_labels
+    width = max(2, len(str(count)))
+    return tuple(f"{prefix}{i:0{width}d}" for i in range(1, count + 1))
 
 
 def sample_tower(cfg: SampleConfig) -> Tower:
@@ -201,23 +215,22 @@ def sample_tower(cfg: SampleConfig) -> Tower:
     if cfg.mode == SAMPLE_M0:
         raise ValueError("m0 configs sample tetragonal covers; use sample_tetragonal")
     rng = SplitMix64(cfg.seed)
-    label_count = cfg.transposition_labels + cfg.three_cycle_labels
-    width = max(2, len(str(label_count)))
+    pools = _base_pools(cfg, 3)
+    labels = _labels("h", cfg)
 
     for _ in range(MAX_RETRIES):
-        base = _draw_base(rng, cfg, 3)
+        base = _draw_base(rng, pools, 3)
         if base is None:
             continue
 
         if cfg.mode == GENERAL:
-            flips = [_flip((1 + rng.below(3),)), _flip((1 + rng.below(3),))]
+            flips = [rng.choice(_SINGLE_FLIPS), rng.choice(_SINGLE_FLIPS)]
         elif cfg.mode == SPECIAL:
-            kept = rng.below(3) + 1
-            flips = [_flip(tuple(sorted(set((1, 2, 3)) - {kept})))]
+            flips = [rng.choice(_DOUBLE_FLIPS)]
         else:
             flips = []
 
-        lifts = [rng.choice(_etale_lifts(action)) for action in base[:-1]]
+        lifts = rng.choice_each([_etale_lifts(action) for action in base[:-1]])
         # the block action is a homomorphism and flips act trivially on
         # blocks, so the solved lift acts on blocks as base[-1]
         last = _solve_last(lifts, flips, 6)
@@ -225,8 +238,8 @@ def sample_tower(cfg: SampleConfig) -> Tower:
             continue
         lifts.append(last)
 
-        entries = [(_label("h", i, width), p) for i, p in enumerate(lifts)]
-        entries += [(f"f{i + 1}", p) for i, p in enumerate(flips)]
+        entries = list(zip(labels, lifts))
+        entries += [(f"f{i}", p) for i, p in enumerate(flips, start=1)]
         try:
             cover = BranchedCover.from_pairs(6, entries)
             tower = validate_tower(cover, CANONICAL_BLOCKS)
@@ -245,15 +258,13 @@ def sample_tetragonal(cfg: SampleConfig) -> TetragonalCover:
     if cfg.mode != SAMPLE_M0:
         raise ValueError(f"tetragonal sampling needs an {SAMPLE_M0!r} config, got {cfg.mode!r}")
     rng = SplitMix64(cfg.seed)
-    label_count = cfg.transposition_labels + cfg.three_cycle_labels
-    width = max(2, len(str(label_count)))
+    pools = _base_pools(cfg, 4)
+    labels = _labels("b", cfg)
     for _ in range(MAX_RETRIES):
-        base = _draw_base(rng, cfg, 4)
+        base = _draw_base(rng, pools, 4)
         if base is None:
             continue
-        cover = BranchedCover.from_pairs(
-            4, ((_label("b", i, width), p) for i, p in enumerate(base))
-        )
+        cover = BranchedCover(4, labels, tuple(base))
         tetragonal = TetragonalCover(cover)
         if tetragonal.stratum != STRATUM_M0 or tetragonal.genus != cfg.genus:
             continue

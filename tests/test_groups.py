@@ -24,13 +24,25 @@ from trigonal import (
 )
 from trigonal.batch import SUITE_MODES, spread_configs
 from trigonal.cli import main
+from trigonal.forward import _square_breaks
 from trigonal.groups import (
+    BLOCK,
+    CYCLE_COUNTS,
+    FIBER_TYPE,
+    FLIPS,
+    INVOLUTION,
+    ORIENTATION,
     PAIRS,
     PARITY_CLASSES,
     PARTITION_BLOCKS,
+    QUOTIENT,
     QUOTIENT_CLASSES,
     S4_ROWS,
+    SECTIONS,
+    TO_ORIENTATION,
+    TO_QUOTIENT,
     block_rows,
+    classify_fiber,
     transversal_sheets,
 )
 from trigonal.jsonio import (
@@ -41,7 +53,7 @@ from trigonal.jsonio import (
 )
 from trigonal.sampling import SAMPLE_M0, SampleConfig
 
-from conftest import BLOCK_SYSTEMS, CANONICAL_BLOCKS, FIXTURES, S4, S6, product_one_tuples
+from conftest import BLOCK_SYSTEMS, CANONICAL_BLOCKS, FIXTURES, S4, S6, block_group, product_one_tuples
 
 
 def _images(entry, degree):
@@ -96,6 +108,48 @@ def test_s4_rows_are_homomorphisms_on_the_whole_group():
     for wrong in (Permutation((2, 1, 3)), Permutation((2, 1, 3, 4, 5))):
         with pytest.raises(ValueError, match="degree-4"):
             S4_ROWS[wrong.images]
+    assert len(S4_ROWS) == 24
+
+
+@pytest.mark.parametrize("blocks", BLOCK_SYSTEMS, ids=lambda b: str(b.blocks))
+def test_block_rows_hold_the_cycle_counts_and_break_no_square(blocks):
+    rows = block_rows(blocks)
+    for p in block_group(blocks):
+        row = rows[p.images]
+        sections, quotient, orientation = (
+            Permutation(_images(row[column], degree))
+            for column, degree in ((SECTIONS, 8), (QUOTIENT, 4), (ORIENTATION, 2))
+        )
+        counts = (len(sections.cycles(include_fixed=True)), len(quotient.cycles(include_fixed=True)))
+        assert row[CYCLE_COUNTS] == counts
+        # the quotient counts the involution's orbits on the section
+        # cycles, so the sections count doubles it exactly when the
+        # involution carries no cycle onto itself
+        fixed = [c for c in sections.cycles(include_fixed=True) if set(map(INVOLUTION, c)) == set(c)]
+        assert (counts[0] == 2 * counts[1]) == (not fixed)
+        # which holds for every entry a tower can carry: a flip-free lift,
+        # or a flip of one or two blocks over a trivial block action
+        if not row[FLIPS] or (row[BLOCK] is None and len(row[FLIPS]) < 3):
+            assert counts[0] == 2 * counts[1]
+        for t in range(1, 9):
+            assert TO_QUOTIENT[sections(t) - 1] == quotient(TO_QUOTIENT[t - 1])
+            assert TO_ORIENTATION[sections(t) - 1] == orientation(TO_ORIENTATION[t - 1])
+        assert _square_breaks(p.images, blocks.blocks, TO_QUOTIENT, TO_ORIENTATION) == ()
+
+
+# fibre type by cycle type, longest cycle first: the table of the paper's
+# five local pictures over a point of the line
+REFERENCE_FIBER_TYPES = {(1, 1, 1, 1): 1, (2, 1, 1): 2, (3, 1): 3, (2, 2): 4, (4,): 5}
+
+
+def test_s4_rows_hold_the_fibre_type_of_each_cycle_type():
+    for p in S4:
+        lengths = tuple(sorted((len(c) for c in p.cycles(include_fixed=True)), reverse=True))
+        assert S4_ROWS[p.images][FIBER_TYPE] == REFERENCE_FIBER_TYPES[lengths]
+        assert classify_fiber(p) == REFERENCE_FIBER_TYPES[lengths]
+    for wrong in (Permutation((2, 1, 3)), Permutation.identity(5), Permutation((2, 1, 4, 3, 6, 5))):
+        with pytest.raises(ValueError, match="degree-4"):
+            classify_fiber(wrong)
     assert len(S4_ROWS) == 24
 
 

@@ -36,6 +36,16 @@ def test_splitmix_below_and_choice():
         SplitMix64(5).below(0)
 
 
+@pytest.mark.parametrize("seed", [0, 1, 101, 2**64 - 1])
+def test_choice_each_draws_what_successive_choice_calls_draw(seed):
+    pools = [tuple(range(n)) for n in (1, 2, 3, 4, 6, 8)] * 4
+    one_loop, successive = SplitMix64(seed), SplitMix64(seed)
+    assert one_loop.choice_each(pools) == [successive.choice(pool) for pool in pools]
+    assert one_loop.choice_each([]) == []
+    # both streams stand at the same place afterwards
+    assert one_loop.next_u64() == successive.next_u64()
+
+
 def test_derive_seed_is_stable_and_spread():
     seeds = [derive_seed(7, i) for i in range(50)]
     assert seeds == [derive_seed(7, i) for i in range(50)]
