@@ -18,6 +18,12 @@ quotient and orientation covers are the tower's images under three of
 the block group's homomorphisms, made by one ``groups.derive`` pass
 over the tower's entries from table rows that each group element
 fills once.
+
+``verify_predictions`` reads the same rows once per tower entry: their
+cycle counts give the involution-free criterion, and the result's
+three covers must equal the rows' images entry by entry, whose squares
+with the result's sheet maps are checked once per distinct entry and
+pair of sheet maps.
 """
 from __future__ import annotations
 
@@ -310,7 +316,9 @@ def _shared_checks(result: ForwardResult, free: bool) -> list[CheckResult]:
             "; ".join(freeness) or "section cycles double the quotient cycles at every label",
         ),
         CheckResult("involution-fixed-point-free", free),
-        CheckResult("diagram-commutes", not (mismatched or diagram), "; ".join((mismatched + diagram)[:4])),
+        CheckResult(
+            "diagram-commutes", not (mismatched or diagram), "; ".join((mismatched + diagram)[:4])
+        ),
     ]
 
     odd_weight = {label for label, weight in flip_weights(tower.flips).items() if weight % 2}
@@ -337,10 +345,10 @@ def _square_breaks(
     ``(square, t)`` in ``t`` order, quotient before orientation.
     Memoized on plain tuples: an instance's sheet maps are nearly always
     the ``groups`` constants, so each entry is checked once."""
-    row = block_rows(BlockSystem(blocks))[images]
+    rows = block_rows(BlockSystem(blocks))
+    row = rows[images]
     action, quotient, orientation = (
-        Permutation.identity(degree) if image is None else image
-        for image, degree in ((row[SECTIONS], SECTION_COUNT), (row[QUOTIENT], 4), (row[ORIENTATION], 2))
+        row[c] or Permutation.identity(rows.degrees[c]) for c in (SECTIONS, QUOTIENT, ORIENTATION)
     )
     breaks = []
     for t in range(1, SECTION_COUNT + 1):

@@ -17,6 +17,11 @@ Tower drawing order, fixed for reproducibility:
      branch labels of the base, the final lift again being solved;
   3. flip labels appended after the base labels: two single flips at
      fresh labels (general), one double flip (special), none (etale).
+
+On the stream an attempt draws the base list, then the flips from
+module constants (one ``choice`` each), then the lift list.  Each list
+is drawn in one loop over ``next_u64`` (``SplitMix64.choice_each``),
+the same stream as one ``choice`` call per label.
 """
 from __future__ import annotations
 
@@ -158,7 +163,9 @@ def _base_pools(cfg: SampleConfig, degree: int) -> list[tuple[Permutation, ...]]
     return [transpositions] * cfg.transposition_labels + [three_cycles] * cfg.three_cycle_labels
 
 
-def _draw_base(rng: SplitMix64, pools: list[tuple[Permutation, ...]], degree: int) -> list[Permutation] | None:
+def _draw_base(
+    rng: SplitMix64, pools: list[tuple[Permutation, ...]], degree: int
+) -> list[Permutation] | None:
     drawn = rng.choice_each(pools[:-1])
     last = _solve_last(drawn, (), degree)
     if last not in pools[-1]:
