@@ -39,15 +39,16 @@ A row holds one group element's images, ``None`` standing for an
 identity image, then facts about the element that are no images and
 sit outside ``Rows.degrees``, so ``derive`` and the homomorphism tests
 never read them.  A block row holds the element's flip pattern and its
-``(sections, quotient)`` cycle counts, fixed sheets included, whose
-ratio 2 is the involution-free criterion at the element's label; an S4
-row holds the element's fibre type.  So a per-instance check reads
-each fact once per entry instead of recounting cycles.  Rows are keyed by the element's
-image tuple, in one table per block system (so documents with any
-blocks work) and one for S4.  A row is built on a miss through
-``induced_action``, so each image is validated when first built; a
-build that raises stores nothing, so a table holds at most its group's
-order of rows.  No row is built at import.
+``(sections, quotient)`` cycle counts, fixed sheets included (the
+involution acts freely over a label exactly when the first is twice
+the second); an S4 row holds the element's fibre type.  So a
+per-instance check reads each fact once per entry instead of
+recounting cycles.  Rows are keyed by the element's image tuple, in
+one table per block system (so documents with any blocks work) and one
+for S4.  A row is built on a miss through ``induced_action``, so each
+image is validated when first built; a build that raises stores
+nothing, so a table holds at most its group's order of rows.  No row is
+built at import.
 
 ``derive`` emits a cover's derived covers in one pass over its entries,
 through ``BranchedCover._derived``, which skips the cover checks: for a

@@ -12,14 +12,14 @@ are the images of the input under S4's pairs and partition
 homomorphisms, made by one ``groups.derive`` pass over its entries
 from the S4 table rows.
 
-A fibre of the tetragonal cover has a type 1-5 by its cycle type,
-an entry of the S4 rows that the stratum and ``fiber_types`` read once
-per entry (``groups.classify_fiber``).  Types 4 and 5 are exactly the fibres
-where the pairs cover, a tower over the partitions, ramifies over the
-partition cover, and it does so in two points.  ``_glue_flips`` glues
-them, and their cycles of pairs upstairs, as it glues a twisted
-tower's flip points in ``expected_inverse``: one rule for both
-directions.
+A fibre of the tetragonal cover has a type 1-5 by its cycle type, an
+entry of the S4 rows that the stratum and ``fiber_types`` read once
+per entry (``groups.classify_fiber``).  Types 4 and 5 are exactly the
+fibres where the pairs cover, a tower over the partitions, ramifies
+over the partition cover, and it does so in two points.
+``_glue_flips`` glues them, and their cycles of pairs upstairs, as it
+glues a twisted tower's flip points in ``expected_inverse``: one rule
+for both directions.
 
 Node markers stay side-band data on the normalizations, which is what
 lets the smooth machinery keep running underneath.
