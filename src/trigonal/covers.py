@@ -105,8 +105,9 @@ class BranchedCover:
         """Connected components, ordered by their smallest parent sheet.
 
         A component's entries are the parent's restricted to one orbit
-        and renumbered along it (the kernel's memoized ``induced_action``
-        on the orbit's singletons), with trivial restrictions dropped; a
+        and renumbered along it (``_restriction``, memoized on the
+        entry's image tuple and the orbit, like the kernel, and bounded
+        at ``MEMO_SIZE``), with trivial restrictions dropped; a
         connected cover's one component is a copy, so no cover holds
         itself.
         """
@@ -224,14 +225,22 @@ def components(cover: BranchedCover) -> tuple[Component, ...]:
 def _restrict(cover: BranchedCover, orbit: tuple[int, ...]) -> Component:
     if len(orbit) == cover.degree:
         return Component(BranchedCover._derived(cover.degree, cover.labels, cover.monodromy), orbit)
-    points = tuple((sheet,) for sheet in orbit)
     labels, entries = [], []
     for label, perm in zip(cover.labels, cover.monodromy):
-        image = induced_action(perm, points)
-        if not image.is_identity():
+        image = _restriction(perm.images, orbit)
+        if image is not None:
             labels.append(label)
             entries.append(image)
     return Component(BranchedCover._derived(len(orbit), tuple(labels), tuple(entries)), orbit)
+
+
+@functools.lru_cache(maxsize=MEMO_SIZE)
+def _restriction(images: tuple[int, ...], orbit: tuple[int, ...]) -> Permutation | None:
+    """The entry with ``images`` restricted to ``orbit`` and renumbered
+    along it, through ``induced_action`` on the orbit's singletons;
+    ``None`` when that restriction is the identity."""
+    image = induced_action(Permutation(images), tuple((sheet,) for sheet in orbit))
+    return None if image.is_identity() else image
 
 
 @dataclass(frozen=True)
@@ -287,22 +296,27 @@ def iter_isomorphisms(first: BranchedCover, second: BranchedCover) -> Iterator[P
     pairs = [(s.images, t.images) for s, t in zip(first.monodromy, second.monodromy)]
     # a relabeling is fixed on each orbit by its least sheet's image:
     # one map per orbit and target, then one disjoint pick per orbit in turn
-    choices = [
-        [m for t in range(1, n + 1) if (m := _propagate(pairs, orbit[0], t)) is not None]
-        for orbit in first.orbits
-    ]
-    levels = [(iter(choices[0]), {})]  # per orbit: its maps left, the maps picked before it
+    choices = []
+    for orbit in first.orbits:
+        found = (_propagate(pairs, orbit[0], t) for t in range(1, n + 1))
+        # each map with its images as the bits 1 << image (it is one-to-one)
+        choices.append([(m, sum(1 << i for i in m.values())) for m in found if m is not None])
+    images = [0] * n  # each orbit's current pick, written over its sheets
+    levels = [(iter(choices[0]), 0)]  # per orbit: its maps left, the image bits used before it
     while levels:
-        maps, picked = levels[-1]
+        maps, used = levels[-1]
         pick = next(maps, None)
         if pick is None:
             levels.pop()
-        elif set(pick.values()).isdisjoint(picked.values()):
-            mapping = {**picked, **pick}
+            continue
+        mapping, targets = pick
+        if not targets & used:
+            for sheet, image in mapping.items():
+                images[sheet - 1] = image
             if len(levels) == len(choices):
-                yield Permutation(tuple(mapping[i] for i in range(1, n + 1)))
+                yield Permutation(tuple(images))
             else:
-                levels.append((iter(choices[len(levels)]), mapping))
+                levels.append((iter(choices[len(levels)]), used | targets))
 
 
 def _propagate(pairs: list, start: int, target: int) -> dict[int, int] | None:

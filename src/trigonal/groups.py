@@ -47,7 +47,16 @@ recounting cycles.  Rows are keyed by the element's image tuple, in
 one table per block system (so documents with any blocks work) and one
 for S4.  A row is built on a miss through ``induced_action``, so each
 image is validated when first built; a build that raises stores
-nothing, so a table holds at most its group's order of rows.  No row is
+nothing, so a table holds at most its group's order of rows.
+
+A ``GroupTable`` holds a whole group as indices: its elements in a
+fixed order, the index of each image tuple, and the product and
+inverse of indices.  ``symmetric_table`` gives S3 and S4,
+``block_table`` the block group of a ``BlockSystem``; the samplers
+draw and multiply indices through them, not ``Permutation`` objects.
+Each table is built on first use, its elements validated once through
+``Permutation`` and its products by plain tuple arithmetic, so a table
+adds nothing to the kernel's memos.  Neither a table nor a row is
 built at import.
 
 ``derive`` emits a cover's derived covers in one pass over its entries,
@@ -61,6 +70,7 @@ S4), not per cover.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
@@ -157,6 +167,65 @@ def pairs_action(perm: Permutation) -> Permutation:
 def partition_action(perm: Permutation) -> Permutation:
     """Induced permutation of the three pair partitions."""
     return block_action(pairs_action(perm), PARTITION_BLOCKS)
+
+
+class GroupTable:
+    """A small permutation group as tables over element indices.
+
+    ``elements`` lists the group in a fixed order, ``index`` maps an
+    image tuple to its element's index, ``mul[a][b]`` is the index of
+    ``compose(elements[a], elements[b])`` (``a`` applied first),
+    ``inv[a]`` that of the inverse and ``identity`` that of the identity.
+    """
+
+    def __init__(self, images: Iterable[tuple[int, ...]]):
+        self.elements = tuple(map(Permutation, images))
+        rows = [p.images for p in self.elements]
+        self.index = {row: i for i, row in enumerate(rows)}
+        lookup = self.index.__getitem__
+        self.mul = tuple(
+            tuple(map(lookup, map(operator.itemgetter(*[x - 1 for x in a]), rows))) for a in rows
+        )
+        self.identity = lookup(tuple(range(1, len(rows[0]) + 1)))
+        self.inv = tuple(products.index(self.identity) for products in self.mul)
+
+    def indices(self, perms: Iterable[Permutation]) -> tuple[int, ...]:
+        return tuple(self.index[p.images] for p in perms)
+
+
+_TABLES: dict[int | BlockSystem, GroupTable] = {}
+
+
+def symmetric_table(degree: int) -> GroupTable:
+    """The table of the symmetric group of ``degree``, elements in
+    lexicographic order of their image tuples; built on first use."""
+    table = _TABLES.get(degree)
+    if table is None:
+        table = _TABLES[degree] = GroupTable(itertools.permutations(range(1, degree + 1)))
+    return table
+
+
+def block_table(blocks: BlockSystem) -> GroupTable:
+    """The table of the block group of ``blocks``; built on first use.
+
+    Element ``8 * a + v`` carries block ``j`` onto block ``p(j)``, where
+    ``p`` is element ``a`` of S3's table, sending the smaller sheet of
+    block ``j`` to the larger one of block ``p(j)`` exactly when bit
+    ``3 - j`` of ``v`` is set (block 1 is the high bit).
+    """
+    table = _TABLES.get(blocks)
+    if table is None:
+        elements = []
+        for action in itertools.permutations(range(3)):
+            for v in range(8):
+                images = [0] * 6
+                for j, target in enumerate(action):
+                    flip = (v >> (2 - j)) & 1
+                    for pos in range(2):
+                        images[blocks[j][pos] - 1] = blocks[target][pos ^ flip]
+                elements.append(tuple(images))
+        table = _TABLES[blocks] = GroupTable(elements)
+    return table
 
 
 FIBER_SIMPLE = 2

@@ -13,8 +13,9 @@ homomorphisms, made by one ``groups.derive`` pass over its entries
 from the S4 table rows.
 
 A fibre of the tetragonal cover has a type 1-5 by its cycle type, an
-entry of the S4 rows that the stratum and ``fiber_types`` read once
-per entry (``groups.classify_fiber``).  Types 4 and 5 are exactly the
+entry of the S4 rows (``groups.classify_fiber``).  A
+``TetragonalCover`` reads each entry's type once, for its stratum, and
+keeps the types for ``fiber_types``.  Types 4 and 5 are exactly the
 fibres where the pairs cover, a tower over the partitions, ramifies
 over the partition cover, and it does so in two points.
 ``_glue_flips`` glues them, and their cycles of pairs upstairs, as it
@@ -85,31 +86,31 @@ class TetragonalCover:
 
     cover: BranchedCover
     stratum: str = field(init=False)
+    # each entry's fibre type, read once from its S4 row for the stratum
+    _types: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.cover.degree != 4:
             raise ValueError(f"tetragonal cover must have degree 4, got {self.cover.degree}")
         if not self.cover.is_connected():
             raise ValueError("tetragonal cover must be connected")
-        object.__setattr__(self, "stratum", _stratum(self.cover))
+        types = tuple(S4_ROWS[p.images][FIBER_TYPE] for p in self.cover.monodromy)
+        object.__setattr__(self, "_types", types)
+        object.__setattr__(self, "stratum", _stratum(types))
 
     @property
     def genus(self) -> int:
         return cover_genus(self.cover)
 
     def fiber_types(self) -> dict[str, int]:
-        return {
-            label: S4_ROWS[p.images][FIBER_TYPE]
-            for label, p in zip(self.cover.labels, self.cover.monodromy)
-        }
+        return dict(zip(self.cover.labels, self._types))
 
 
 # the strata by their number of (2,2) labels
 _STRATA_BY_DOUBLES = (STRATUM_M0, STRATUM_M1, STRATUM_M2)
 
 
-def _stratum(cover: BranchedCover) -> str:
-    types = [S4_ROWS[p.images][FIBER_TYPE] for p in cover.monodromy]
+def _stratum(types: tuple[int, ...]) -> str:
     doubles = types.count(FIBER_DOUBLE_DOUBLE)
     if FIBER_QUADRUPLE in types or doubles >= len(_STRATA_BY_DOUBLES):
         return STRATUM_OTHER

@@ -18,20 +18,31 @@ Tower drawing order, fixed for reproducibility:
   3. flip labels appended after the base labels: two single flips at
      fresh labels (general), one double flip (special), none (etale).
 
-On the stream an attempt draws the base list, then the flips from
-module constants (one ``choice`` each), then the lift list.  Each list
-is drawn in one loop over ``next_u64`` (``SplitMix64.choice_each``),
-the same stream as one ``choice`` call per label.
+On the stream an attempt draws the base list, then the flips, then the
+lift list, each draw one ``next_u64`` taken modulo its pool's length.
+Draws are indices into the ``groups`` tables: S3 for a tower's base,
+S4 for an m0 cover, the block group over ``CANONICAL_BLOCKS`` for flips
+and lifts.  Each pool lists its elements in a fixed order:
+transpositions and 3-cycles as ``_transpositions`` and
+``_three_cycles`` list them, a block action's etale lifts by lift
+vector, the flips as ``_SINGLE_FLIPS`` and ``_DOUBLE_FLIPS``.  Each
+list is drawn in one loop (``_draw``) that keeps the running product,
+so the solved last entry is one table inverse.  Only a candidate that
+passes the etale test becomes ``Permutation`` objects, the tables'
+shared elements, and it is then checked in full by ``BranchedCover``
+and ``validate_tower``.  Tables and pools are built on first use,
+never at import.
 """
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .covers import BranchedCover
+from .groups import GroupTable, block_table, symmetric_table
 from .inverse import STRATUM_M0, TetragonalCover
-from .permutation import MEMO_SIZE, Permutation, compose, orbits, product
+from .permutation import MEMO_SIZE, Permutation, orbits
 from .towers import (
     GENERAL,
     MODES,
@@ -74,13 +85,6 @@ class SplitMix64:
 
     def choice(self, seq: Sequence):
         return seq[self.below(len(seq))]
-
-    def choice_each(self, pools: Sequence[Sequence]) -> list:
-        """One ``choice`` from each of ``pools`` in turn, in one loop over
-        ``next_u64``: the draws and the stream that successive ``choice``
-        calls make."""
-        next_u64 = self.next_u64
-        return [pool[next_u64() % len(pool)] for pool in pools]
 
 
 def derive_seed(master: int, index: int) -> int:
@@ -144,59 +148,6 @@ def _three_cycles(degree: int) -> tuple[Permutation, ...]:
     return tuple(out)
 
 
-_BASE_TRANSPOSITIONS = _transpositions(3)
-_BASE_THREE_CYCLES = _three_cycles(3)
-_TET_TRANSPOSITIONS = _transpositions(4)
-_TET_THREE_CYCLES = _three_cycles(4)
-
-
-def _solve_last(prefix: Sequence[Permutation], suffix: Sequence[Permutation], degree: int) -> Permutation:
-    """The unique permutation making prefix + [x] + suffix multiply to
-    the identity, leftmost factor applied first."""
-    return compose(product(tuple(suffix), degree), product(tuple(prefix), degree)).inverse()
-
-
-def _base_pools(cfg: SampleConfig, degree: int) -> list[tuple[Permutation, ...]]:
-    """The entry pool of each base label: transpositions, then 3-cycles."""
-    transpositions = _BASE_TRANSPOSITIONS if degree == 3 else _TET_TRANSPOSITIONS
-    three_cycles = _BASE_THREE_CYCLES if degree == 3 else _TET_THREE_CYCLES
-    return [transpositions] * cfg.transposition_labels + [three_cycles] * cfg.three_cycle_labels
-
-
-def _draw_base(
-    rng: SplitMix64, pools: list[tuple[Permutation, ...]], degree: int
-) -> list[Permutation] | None:
-    drawn = rng.choice_each(pools[:-1])
-    last = _solve_last(drawn, (), degree)
-    if last not in pools[-1]:
-        return None
-    drawn.append(last)
-    if len(orbits(drawn, degree)) != 1:
-        return None
-    return drawn
-
-
-@functools.lru_cache(maxsize=MEMO_SIZE)
-def _etale_lifts(action: Permutation) -> tuple[Permutation, ...]:
-    """The lifts of a block action on ``CANONICAL_BLOCKS`` that keep the
-    in-block double cover unramified over every point of the base fibre,
-    ordered by lift vector ``v`` (``v[j]`` set: block ``j + 1``'s smaller
-    sheet goes to the larger one of its image): those whose ``v`` sums to
-    an even number around every block cycle, so is zero on fixed blocks."""
-    lifts = []
-    cycles = action.cycles(include_fixed=True)
-    for bits in range(8):
-        v = ((bits >> 2) & 1, (bits >> 1) & 1, bits & 1)
-        if any(sum(v[b - 1] for b in cycle) % 2 for cycle in cycles):
-            continue
-        images = [0] * 6
-        for j in range(3):
-            for pos in range(2):
-                images[CANONICAL_BLOCKS[j][pos] - 1] = CANONICAL_BLOCKS[action(j + 1) - 1][pos ^ v[j]]
-        lifts.append(Permutation(tuple(images)))
-    return tuple(lifts)
-
-
 # the flips of one block j at position j - 1, and of the two blocks
 # other than block j at position j - 1
 _SINGLE_FLIPS = tuple(Permutation.from_cycles(6, [block]) for block in CANONICAL_BLOCKS)
@@ -204,10 +155,96 @@ _DOUBLE_FLIPS = tuple(
     Permutation.from_cycles(6, [b for b in CANONICAL_BLOCKS if b != kept]) for kept in CANONICAL_BLOCKS
 )
 
+# index pools, built on first use: by degree, the symmetric group's table
+# with the indices of its transpositions and 3-cycles; by
+# ``CANONICAL_BLOCKS``, the block group's table with each block action's
+# etale lifts and the indices of the single and double flips
+_POOLS: dict = {}
 
-def _labels(prefix: str, cfg: SampleConfig) -> tuple[str, ...]:
-    """The names of the base labels, numbered from 1 at one width."""
-    count = cfg.transposition_labels + cfg.three_cycle_labels
+
+def _symmetric_pools(degree: int) -> tuple[GroupTable, tuple[int, ...], tuple[int, ...]]:
+    pools = _POOLS.get(degree)
+    if pools is None:
+        table = symmetric_table(degree)
+        pools = _POOLS[degree] = (
+            table,
+            table.indices(_transpositions(degree)),
+            table.indices(_three_cycles(degree)),
+        )
+    return pools
+
+
+def _lift_pools() -> tuple:
+    pools = _POOLS.get(CANONICAL_BLOCKS)
+    if pools is None:
+        table = block_table(CANONICAL_BLOCKS)
+        actions = enumerate(symmetric_table(3).elements)
+        pools = _POOLS[CANONICAL_BLOCKS] = (
+            table,
+            tuple(_etale_lifts(a, action) for a, action in actions),
+            table.indices(_SINGLE_FLIPS),
+            table.indices(_DOUBLE_FLIPS),
+        )
+    return pools
+
+
+def _etale_lifts(a: int, action: Permutation) -> tuple[int, ...]:
+    """The lifts of ``action``, element ``a`` of S3's table acting on
+    ``CANONICAL_BLOCKS``, that keep the in-block double cover unramified
+    over every point of the base fibre, as block-table indices ordered
+    by lift vector ``v`` (see ``groups.block_table``): those whose ``v``
+    sums to an even number around every block cycle, so is zero on fixed
+    blocks."""
+    cycles = action.cycles(include_fixed=True)
+    return tuple(
+        8 * a + v
+        for v in range(8)
+        if not any(sum((v >> (3 - b)) & 1 for b in cycle) % 2 for cycle in cycles)
+    )
+
+
+def _draw(
+    next_u64: Callable[[], int],
+    pools: Sequence[Sequence[int]],
+    mul: Sequence[Sequence[int]],
+    acc: int,
+) -> tuple[list[int], int]:
+    """One index from each of ``pools`` in turn, ``pool[next_u64() %
+    len(pool)]``, and the running product of ``acc`` with the draws."""
+    drawn = []
+    for pool in pools:
+        x = pool[next_u64() % len(pool)]
+        drawn.append(x)
+        acc = mul[acc][x]
+    return drawn, acc
+
+
+def _draw_base(
+    next_u64: Callable[[], int], pools: list[tuple[int, ...]], table: GroupTable
+) -> list[int] | None:
+    """Base indices for every pool, the last solved from the product-one
+    relation; ``None`` if it misses its pool or the cover is disconnected."""
+    drawn, acc = _draw(next_u64, pools[:-1], table.mul, table.identity)
+    last = table.inv[acc]
+    if last not in pools[-1]:
+        return None
+    drawn.append(last)
+    if len(orbits([table.elements[i] for i in set(drawn)])) != 1:
+        return None
+    return drawn
+
+
+def _base_pools(cfg: SampleConfig, degree: int) -> tuple[GroupTable, list[tuple[int, ...]]]:
+    """S_degree's table and the index pool of each base label:
+    transpositions, then 3-cycles."""
+    table, transpositions, three_cycles = _symmetric_pools(degree)
+    pools = [transpositions] * cfg.transposition_labels + [three_cycles] * cfg.three_cycle_labels
+    return table, pools
+
+
+@functools.lru_cache(maxsize=MEMO_SIZE)
+def _labels(prefix: str, count: int) -> tuple[str, ...]:
+    """The names of ``count`` base labels, numbered from 1 at one width."""
     width = max(2, len(str(count)))
     return tuple(f"{prefix}{i:0{width}d}" for i in range(1, count + 1))
 
@@ -221,32 +258,28 @@ def sample_tower(cfg: SampleConfig) -> Tower:
     """
     if cfg.mode == SAMPLE_M0:
         raise ValueError("m0 configs sample tetragonal covers; use sample_tetragonal")
-    rng = SplitMix64(cfg.seed)
-    pools = _base_pools(cfg, 3)
-    labels = _labels("h", cfg)
+    next_u64 = SplitMix64(cfg.seed).next_u64
+    base_table, pools = _base_pools(cfg, 3)
+    table, lifts_of, single, double = _lift_pools()
+    flip_pools = {GENERAL: (single, single), SPECIAL: (double,)}.get(cfg.mode, ())
+    labels = _labels("h", len(pools))
 
     for _ in range(MAX_RETRIES):
-        base = _draw_base(rng, pools, 3)
+        base = _draw_base(next_u64, pools, base_table)
         if base is None:
             continue
-
-        if cfg.mode == GENERAL:
-            flips = [rng.choice(_SINGLE_FLIPS), rng.choice(_SINGLE_FLIPS)]
-        elif cfg.mode == SPECIAL:
-            flips = [rng.choice(_DOUBLE_FLIPS)]
-        else:
-            flips = []
-
-        lifts = rng.choice_each([_etale_lifts(action) for action in base[:-1]])
+        flips, after = _draw(next_u64, flip_pools, table.mul, table.identity)
+        lifts, before = _draw(next_u64, [lifts_of[a] for a in base[:-1]], table.mul, table.identity)
         # the block action is a homomorphism and flips act trivially on
         # blocks, so the solved lift acts on blocks as base[-1]
-        last = _solve_last(lifts, flips, 6)
-        if last not in _etale_lifts(base[-1]):
+        last = table.inv[table.mul[after][before]]
+        if last not in lifts_of[base[-1]]:
             continue
         lifts.append(last)
 
-        entries = list(zip(labels, lifts))
-        entries += [(f"f{i}", p) for i, p in enumerate(flips, start=1)]
+        elements = table.elements
+        entries = [(label, elements[x]) for label, x in zip(labels, lifts)]
+        entries += [(f"f{i}", elements[x]) for i, x in enumerate(flips, start=1)]
         try:
             cover = BranchedCover.from_pairs(6, entries)
             tower = validate_tower(cover, CANONICAL_BLOCKS)
@@ -264,14 +297,14 @@ def sample_tetragonal(cfg: SampleConfig) -> TetragonalCover:
     """Draw a connected degree-4 cover in the smooth (``m0``) stratum."""
     if cfg.mode != SAMPLE_M0:
         raise ValueError(f"tetragonal sampling needs an {SAMPLE_M0!r} config, got {cfg.mode!r}")
-    rng = SplitMix64(cfg.seed)
-    pools = _base_pools(cfg, 4)
-    labels = _labels("b", cfg)
+    next_u64 = SplitMix64(cfg.seed).next_u64
+    table, pools = _base_pools(cfg, 4)
+    labels = _labels("b", len(pools))
     for _ in range(MAX_RETRIES):
-        base = _draw_base(rng, pools, 4)
+        base = _draw_base(next_u64, pools, table)
         if base is None:
             continue
-        cover = BranchedCover(4, labels, tuple(base))
+        cover = BranchedCover(4, labels, tuple(table.elements[x] for x in base))
         tetragonal = TetragonalCover(cover)
         if tetragonal.stratum != STRATUM_M0 or tetragonal.genus != cfg.genus:
             continue

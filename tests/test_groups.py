@@ -14,7 +14,9 @@ from trigonal import (
     Permutation,
     TetragonalCover,
     TowerValidationError,
+    block_action,
     components,
+    compose,
     construct,
     induced_cover,
     invert,
@@ -41,10 +43,14 @@ from trigonal.groups import (
     SECTIONS,
     TO_ORIENTATION,
     TO_QUOTIENT,
+    GroupTable,
     block_rows,
+    block_table,
     classify_fiber,
+    symmetric_table,
     transversal_sheets,
 )
+from trigonal import permutation
 from trigonal.jsonio import (
     cover_from_dict,
     cover_with_blocks_to_dict,
@@ -168,6 +174,46 @@ def _check_components(cover):
     for part in parts:
         _same(part.cover, induced_cover(cover, tuple((s,) for s in part.sheets)))
     assert components(cover) is parts
+
+
+@pytest.mark.parametrize(
+    "table, group",
+    [
+        (lambda: symmetric_table(3), tuple(map(Permutation, itertools.permutations(range(1, 4))))),
+        (lambda: symmetric_table(4), S4),
+        (lambda: block_table(CANONICAL_BLOCKS), block_group(CANONICAL_BLOCKS)),
+    ],
+    ids=["S3", "S4", "block-group"],
+)
+def test_group_tables_multiply_and_invert_as_the_kernel_does(table, group):
+    table = table()
+    assert sorted(table.elements, key=lambda p: p.images) == sorted(group, key=lambda p: p.images)
+    assert all(table.index[p.images] == i for i, p in enumerate(table.elements))
+    assert table.elements[table.identity].is_identity()
+    for a, p in enumerate(table.elements):
+        assert table.elements[table.inv[a]] == p.inverse()
+        for b, q in enumerate(table.elements):
+            assert table.elements[table.mul[a][b]] == compose(p, q)
+
+
+def test_block_table_lists_each_block_action_with_its_lift_vectors():
+    actions = symmetric_table(3).elements
+    for blocks in BLOCK_SYSTEMS:
+        table = block_table(blocks)
+        assert len(table.elements) == 48
+        for i, p in enumerate(table.elements):
+            a, v = divmod(i, 8)
+            assert block_action(p, blocks) == actions[a]
+            # bit 3 - j of v: block j's smaller sheet goes to the larger one of its image
+            assert v == sum(int(p(lo) == max(p(lo), p(hi))) << (2 - j) for j, (lo, hi) in enumerate(blocks))
+
+
+def test_building_a_table_adds_nothing_to_the_kernel_memos():
+    memos = (permutation._compose, permutation._inverse)
+    before = [memo.cache_info().currsize for memo in memos]
+    fresh = GroupTable(itertools.permutations(range(1, 5)))
+    assert fresh.mul == symmetric_table(4).mul
+    assert [memo.cache_info().currsize for memo in memos] == before
 
 
 @given(product_one_tuples(3, 3), product_one_tuples(3, 4), st.permutations(range(1, 8)))

@@ -1,5 +1,8 @@
 """The package's export list and its modules' imports."""
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -45,3 +48,17 @@ def test_module_uses_every_name_it_imports(path):
 def test_the_unused_import_check_sees_plain_from_and_aliased_imports():
     source = "import os\nimport a.b\nfrom x import y, z as w\nfrom __future__ import annotations\nw()\n"
     assert _unused_imports(source) == ["os (line 1)", "a (line 2)", "y (line 3)"]
+
+
+def test_a_fresh_import_builds_no_group_table_and_no_row():
+    # tables, rows and the samplers' index pools are built on first use,
+    # so importing the package and its CLI pays for none of them
+    code = (
+        "import trigonal, trigonal.cli\n"
+        "from trigonal import groups, sampling\n"
+        "print(len(groups._TABLES), sum(map(len, groups._BLOCK_ROWS.values())),"
+        " len(groups.S4_ROWS), len(sampling._POOLS))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.split() == ["0", "0", "0", "0"]

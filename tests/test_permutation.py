@@ -192,8 +192,9 @@ MEMOS = (
     _orbits,
     induced_action,
     covers._ramification,
+    covers._restriction,
     forward._square_breaks,
-    sampling._etale_lifts,
+    sampling._labels,
 )
 S6 = tuple(map(Permutation, itertools.permutations(range(1, 7))))
 

@@ -1,4 +1,6 @@
 """Seeded rejection sampler: determinism, admissibility, budgets."""
+import hashlib
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,7 +13,10 @@ from trigonal import (
     sample_tetragonal,
     sample_tower,
 )
-from trigonal import sampling
+from trigonal import block_action, product, sampling
+from trigonal.groups import FLIPS, block_rows, block_table, symmetric_table
+from trigonal.jsonio import cover_to_dict, dumps_canonical, tower_to_dict
+from trigonal.sampling import CANONICAL_BLOCKS
 
 
 def test_splitmix_reference_sequence():
@@ -37,13 +42,47 @@ def test_splitmix_below_and_choice():
 
 
 @pytest.mark.parametrize("seed", [0, 1, 101, 2**64 - 1])
-def test_choice_each_draws_what_successive_choice_calls_draw(seed):
-    pools = [tuple(range(n)) for n in (1, 2, 3, 4, 6, 8)] * 4
+def test_draw_loop_draws_what_successive_choice_calls_draw(seed):
+    table = symmetric_table(4)
+    pools = [tuple(range(n)) for n in (1, 2, 3, 4, 6, 8, 24)] * 4
     one_loop, successive = SplitMix64(seed), SplitMix64(seed)
-    assert one_loop.choice_each(pools) == [successive.choice(pool) for pool in pools]
-    assert one_loop.choice_each([]) == []
+    start = table.index[(2, 1, 4, 3)]
+    drawn, acc = sampling._draw(one_loop.next_u64, pools, table.mul, start)
+    assert drawn == [successive.choice(pool) for pool in pools]
+    # the running product is the ordered product after ``start``
+    elements = [table.elements[start]] + [table.elements[x] for x in drawn]
+    assert table.elements[acc] == product(elements)
+    assert sampling._draw(one_loop.next_u64, [], table.mul, start) == ([], start)
     # both streams stand at the same place afterwards
     assert one_loop.next_u64() == successive.next_u64()
+
+
+@pytest.mark.parametrize("degree", [3, 4])
+def test_base_index_pools_list_the_transpositions_and_three_cycles_in_order(degree):
+    table, transpositions, three_cycles = sampling._symmetric_pools(degree)
+    assert table is symmetric_table(degree)
+    assert [table.elements[x] for x in transpositions] == list(sampling._transpositions(degree))
+    assert [table.elements[x] for x in three_cycles] == list(sampling._three_cycles(degree))
+
+
+def test_lift_pools_list_the_etale_lifts_and_flips_in_order():
+    table, lifts_of, single, double = sampling._lift_pools()
+    assert table is block_table(CANONICAL_BLOCKS)
+    assert [table.elements[x] for x in single] == list(sampling._SINGLE_FLIPS)
+    assert [table.elements[x] for x in double] == list(sampling._DOUBLE_FLIPS)
+    rows = block_rows(CANONICAL_BLOCKS)
+
+    def lift_vector(lift):
+        # bit j: block j + 1's smaller sheet goes to the larger one of its image
+        return tuple(int(lift(a) == max(lift(a), lift(b))) for a, b in CANONICAL_BLOCKS)
+
+    for action, lifts in zip(symmetric_table(3).elements, lifts_of):
+        # the lifts of ``action`` keeping the in-block double cover
+        # unramified are those with no flip point, ordered by lift vector
+        lifting = [p for p in table.elements if block_action(p, CANONICAL_BLOCKS) == action]
+        expected = sorted((p for p in lifting if not rows[p.images][FLIPS]), key=lift_vector)
+        assert [table.elements[x] for x in lifts] == expected
+    assert sorted(map(len, lifts_of)) == [1, 2, 2, 2, 4, 4]
 
 
 def test_derive_seed_is_stable_and_spread():
@@ -101,9 +140,38 @@ def test_mode_to_sampler_pairing_is_enforced():
 
 
 def test_retry_budget_exhaustion_raises(monkeypatch):
+    tower_cfg = SampleConfig(genus=3, mode="general", seed=0)
+    m0_cfg = SampleConfig(genus=2, mode="m0", seed=1)
+    # both succeed within the default budget and need more than one candidate
+    sample_tower(tower_cfg)
+    sample_tetragonal(m0_cfg)
     monkeypatch.setattr(sampling, "MAX_RETRIES", 1)
-    with pytest.raises(RuntimeError):
-        sample_tower(SampleConfig(genus=3, mode="general", seed=0))
+    with pytest.raises(RuntimeError, match="retry budget 1 exhausted sampling a general tower"):
+        sample_tower(tower_cfg)
+    with pytest.raises(RuntimeError, match="retry budget 1 exhausted sampling an m0 cover"):
+        sample_tetragonal(m0_cfg)
+
+
+# sha256 of the canonical list of sampled towers (every mode) and m0
+# covers at g 3..6 with one and two three-cycle labels, seeds derived
+# from master seed 101.  No suite reaches this path; a change that moves
+# the digest must say why in CHANGES.md.
+PINNED_THREE_CYCLE_DIGEST = "c049c2d6e88ce48f83e108a7789a78621c4eec53ed0e9bf39217a4b4af506914"
+
+
+def test_three_cycle_samples_are_pinned():
+    docs = []
+    for g in range(3, 7):
+        for k in (1, 2):
+            for mode in ("etale", "general", "m0", "special"):
+                seed = derive_seed(101, len(docs))
+                cfg = SampleConfig(genus=g, mode=mode, seed=seed, three_cycle_labels=k)
+                if mode == "m0":
+                    docs.append(cover_to_dict(sample_tetragonal(cfg).cover))
+                else:
+                    docs.append(tower_to_dict(sample_tower(cfg)))
+    digest = hashlib.sha256(dumps_canonical(docs).encode()).hexdigest()
+    assert digest == PINNED_THREE_CYCLE_DIGEST
 
 
 def test_three_cycle_labels_opt_in():
