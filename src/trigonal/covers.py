@@ -28,9 +28,9 @@ phi into the symmetric group of ``degree``, in the parent's label
 order, identity images dropped.  Then every check holds by
 construction, the product relation because
 phi(s1)...phi(sn) = phi(s1...sn) = phi(1) = 1.  Its callers are
-``groups.derive``, whose rows are homomorphisms by an exhaustive test
-over the whole group, and ``components``, since restricting the
-monodromy to an invariant orbit is one.
+``groups.derive``, whose columns are checked as homomorphisms as they
+are built, and ``components``, since restricting the monodromy to an
+invariant orbit is one.
 """
 from __future__ import annotations
 

@@ -16,14 +16,13 @@ cover are counted relative to index 1.  So the involution and both sheet maps ar
 tower: ``construct`` returns the ``groups`` constants.  The sections,
 quotient and orientation covers are the tower's images under three of
 the block group's homomorphisms, made by one ``groups.derive`` pass
-over the tower's entries from table rows that each group element
-fills once.
+over the tower's entries from the block table's image columns.
 
-``verify_predictions`` reads the same rows once per tower entry: their
-cycle counts give the involution-free criterion, and the result's
-three covers must equal the rows' images entry by entry, whose squares
-with the result's sheet maps are checked once per distinct entry and
-pair of sheet maps.
+``verify_predictions`` looks each tower entry's index up once and
+reads the same columns: the cycle counts give the involution-free
+criterion, and the result's three covers must equal the columns'
+images entry by entry, whose squares with the result's sheet maps are
+checked once per element index and pair of sheet maps.
 """
 from __future__ import annotations
 
@@ -43,6 +42,7 @@ from .covers import (
     label_cycles,
 )
 from .groups import (
+    CANONICAL_BLOCKS,
     CYCLE_COUNTS,
     FIBER_DOUBLE_DOUBLE,
     FIBER_QUADRUPLE,
@@ -50,14 +50,13 @@ from .groups import (
     INVOLUTION,
     ORIENTATION,
     QUOTIENT,
-    S4_ROWS,
     SECTION_COUNT,
     SECTIONS,
     TO_ORIENTATION,
     TO_QUOTIENT,
-    BlockSystem,
-    block_rows,
+    block_table,
     derive,
+    symmetric_table,
     transversal_sheets,
 )
 from .permutation import MEMO_SIZE, Permutation, conjugate
@@ -95,7 +94,7 @@ def construct(tower: Tower) -> ForwardResult:
     way.  Special towers get their node markers attached.
     """
     sections, quotient, orientation = derive(
-        tower.cover, block_rows(tower.blocks), (SECTIONS, QUOTIENT, ORIENTATION)
+        tower.cover, block_table(tower.blocks), (SECTIONS, QUOTIENT, ORIENTATION)
     )
     result = ForwardResult(
         tower=tower,
@@ -226,10 +225,9 @@ def verify_predictions(tower: Tower, result: ForwardResult) -> CheckReport:
                 go == 0 and result.orientation.is_connected(),
                 f"genus {go}",
             )
-            fibers = {
-                label: S4_ROWS[p.images][FIBER_TYPE]
-                for label, p in zip(result.quotient.labels, result.quotient.monodromy)
-            }
+            s4 = symmetric_table(4)
+            entries = zip(result.quotient.labels, s4.indices(result.quotient.monodromy))
+            fibers = {label: s4.columns[FIBER_TYPE][x] for label, x in entries}
             double_double = [label for label, fiber in fibers.items() if fiber == FIBER_DOUBLE_DOUBLE]
             add(
                 "quotient-two-double-double-labels",
@@ -274,34 +272,31 @@ def verify_predictions(tower: Tower, result: ForwardResult) -> CheckReport:
 
 
 def _shared_checks(result: ForwardResult, free: bool) -> list[CheckResult]:
-    """The checks of every mode, from one row read per tower entry.
+    """The checks of every mode, from one index lookup per tower entry.
 
-    The rows' cycle counts give the involution-free criterion.  The
-    result's three covers must be the rows' images of the tower, entry
-    by entry, or ``diagram-commutes`` fails; its squares are then
-    checked on the rows' images under the result's sheet maps.
+    The cycle-count column gives the involution-free criterion.  The
+    result's three covers must be the image columns' covers of the
+    tower, entry by entry, or ``diagram-commutes`` fails; its squares
+    are then checked on those images under the result's sheet maps.
     """
     tower = result.tower
-    rows = block_rows(tower.blocks)
-    square_key = (tower.blocks.blocks, result.to_quotient, result.to_orientation)
-    derived = (
-        ("sections", result.sections, SECTIONS, [], []),
-        ("quotient", result.quotient, QUOTIENT, [], []),
-        ("orientation", result.orientation, ORIENTATION, [], []),
-    )
+    table = block_table(tower.blocks)
+    derived = [
+        (name, getattr(result, name), table.columns[column], [], [])
+        for name, column in (("sections", SECTIONS), ("quotient", QUOTIENT), ("orientation", ORIENTATION))
+    ]
     freeness = []
     diagram = []
     for label, perm in zip(tower.cover.labels, tower.cover.monodromy):
-        row = rows[perm.images]
-        up, down = row[CYCLE_COUNTS]
+        x = table.index[perm.images]
+        up, down = table.columns[CYCLE_COUNTS][x]
         if up != 2 * down:
             freeness.append(f"{label}: {up} vs {down}")
         for _, _, column, labels, images in derived:
-            image = row[column]
-            if image is not None:
+            if column[x] is not None:
                 labels.append(label)
-                images.append(image)
-        for square, t in _square_breaks(perm.images, *square_key):
+                images.append(column[x])
+        for square, t in _square_breaks(x, result.to_quotient, result.to_orientation):
             diagram.append(f"{square} square breaks at {label}/{t}")
     mismatched = [
         f"{name} cover is not the tower's image"
@@ -334,21 +329,17 @@ def _shared_checks(result: ForwardResult, free: bool) -> list[CheckResult]:
 
 @functools.lru_cache(maxsize=MEMO_SIZE)
 def _square_breaks(
-    images: tuple[int, ...],
-    blocks: tuple[tuple[int, int], ...],
-    to_quotient: tuple[int, ...],
-    to_orientation: tuple[int, ...],
+    x: int, to_quotient: tuple[int, ...], to_orientation: tuple[int, ...]
 ) -> tuple[tuple[str, int], ...]:
     """The transversals ``t`` at which the sheet maps fail to carry the
-    section action of the entry ``images`` onto its quotient or
-    orientation action (the entry's row over ``blocks``), as
-    ``(square, t)`` in ``t`` order, quotient before orientation.
-    Memoized on plain tuples: an instance's sheet maps are nearly always
-    the ``groups`` constants, so each entry is checked once."""
-    rows = block_rows(BlockSystem(blocks))
-    row = rows[images]
+    section action of block-group element ``x`` onto its quotient or
+    orientation action, as ``(square, t)``, quotient first.  Every block
+    system shares these columns, and an instance's sheet maps are nearly
+    always the ``groups`` constants, so each element is checked once."""
+    table = block_table(CANONICAL_BLOCKS)
     action, quotient, orientation = (
-        row[c] or Permutation.identity(rows.degrees[c]) for c in (SECTIONS, QUOTIENT, ORIENTATION)
+        table.columns[c][x] or Permutation.identity(table.degrees[c])
+        for c in (SECTIONS, QUOTIENT, ORIENTATION)
     )
     breaks = []
     for t in range(1, SECTION_COUNT + 1):

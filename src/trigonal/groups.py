@@ -1,4 +1,4 @@
-"""The block group and the S4 side, with their images as table rows.
+"""The block group and the S4 side, with their images as table columns.
 
 A tower's monodromy lies in W(B3), the 48 permutations of the six
 sheets that carry the three blocks of a ``BlockSystem`` onto blocks.
@@ -35,40 +35,25 @@ The involution t -> 9 - t, the sheet maps onto the involution and
 parity classes, and the pair complement are constants beside the
 classes that are their orbits or fibres.
 
-A row holds one group element's images, ``None`` standing for an
-identity image, then facts about the element that are no images and
-sit outside ``Rows.degrees``, so ``derive`` and the homomorphism tests
-never read them.  A block row holds the element's flip pattern and its
-``(sections, quotient)`` cycle counts, fixed sheets included (the
-involution acts freely over a label exactly when the first is twice
-the second); an S4 row holds the element's fibre type.  So a
-per-instance check reads each fact once per entry instead of
-recounting cycles.  Rows are keyed by the element's image tuple, in
-one table per block system (so documents with any blocks work) and one
-for S4.  A row is built on a miss through ``induced_action``, so each
-image is validated when first built; a build that raises stores
-nothing, so a table holds at most its group's order of rows.
-
-A ``GroupTable`` holds a whole group as indices: its elements in a
-fixed order, the index of each image tuple, and the product and
-inverse of indices.  ``symmetric_table`` gives S3 and S4,
-``block_table`` the block group of a ``BlockSystem``; the samplers
-draw and multiply indices through them, not ``Permutation`` objects.
-Each table is built on first use, its elements validated once through
-``Permutation`` and its products by plain tuple arithmetic, so a table
-adds nothing to the kernel's memos.  Neither a table nor a row is
-built at import.
+A ``GroupTable`` holds a group over indices, with one column per fact
+about its elements; a caller looks each entry's index up once, then
+reads columns.  S4 has its pairs and partition images and fibre types;
+a block group its four images, its ``(sections, quotient)`` cycle
+counts (the involution acts freely over a label exactly when the first
+is twice the second) and its flip pattern.  Products and every column
+but the flips are built once, over ``CANONICAL_BLOCKS``, and shared by
+every block system's table.  Tables are built on first use, never at
+import, and add nothing to the kernel's composition memos.
 
 ``derive`` emits a cover's derived covers in one pass over its entries,
 through ``BranchedCover._derived``, which skips the cover checks: for a
 homomorphism phi, phi(s1)...phi(sn) = phi(s1...sn) = phi(1) = 1, and
-identity images are dropped by construction.  That every column is a
-homomorphism is checked once over the whole group by the exhaustive
-tests (all 48^2 products per block system and column, all 24^2 for
-S4), not per cover.
+identity images are dropped by construction.
 """
 from __future__ import annotations
 
+import copy
+import functools
 import itertools
 import operator
 from dataclasses import dataclass
@@ -122,6 +107,8 @@ TO_QUOTIENT, TO_ORIENTATION = (
 PAIRS: tuple[tuple[int, int], ...] = tuple(itertools.combinations(range(1, 5), 2))
 PARTITION_BLOCKS = BlockSystem.from_pairs([(1, 6), (2, 5), (3, 4)])
 COMPLEMENT = Permutation.from_cycles(len(PAIRS), PARTITION_BLOCKS)
+# the blocks of the samplers, over which the block group's columns are built
+CANONICAL_BLOCKS = BlockSystem.from_pairs([(1, 2), (3, 4), (5, 6)])
 
 
 def transversal_sheets(blocks: BlockSystem) -> tuple[tuple[int, int, int], ...]:
@@ -175,10 +162,17 @@ class GroupTable:
     ``elements`` lists the group in a fixed order, ``index`` maps an
     image tuple to its element's index, ``mul[a][b]`` is the index of
     ``compose(elements[a], elements[b])`` (``a`` applied first),
-    ``inv[a]`` that of the inverse and ``identity`` that of the identity.
+    ``inv[a]`` that of the inverse, ``identity`` that of the identity and
+    ``generators`` those of the generators given.  ``columns`` hold
+    facts about each element by index; the first ``len(degrees)`` of
+    them are homomorphism images into the symmetric groups of
+    ``degrees``, ``None`` for an identity image.
     """
 
-    def __init__(self, images: Iterable[tuple[int, ...]]):
+    columns: tuple[tuple, ...] = ()
+    degrees: tuple[int, ...] = ()
+
+    def __init__(self, images: Iterable[tuple[int, ...]], generators: Iterable[tuple[int, ...]]):
         self.elements = tuple(map(Permutation, images))
         rows = [p.images for p in self.elements]
         self.index = {row: i for i, row in enumerate(rows)}
@@ -187,46 +181,39 @@ class GroupTable:
             tuple(map(lookup, map(operator.itemgetter(*[x - 1 for x in a]), rows))) for a in rows
         )
         self.identity = lookup(tuple(range(1, len(rows[0]) + 1)))
+        self.generators = [lookup(g) for g in generators]
         self.inv = tuple(products.index(self.identity) for products in self.mul)
 
-    def indices(self, perms: Iterable[Permutation]) -> tuple[int, ...]:
-        return tuple(self.index[p.images] for p in perms)
+    def indices(self, perms: Iterable[Permutation]) -> list[int]:
+        return [self.index[p.images] for p in perms]
+
+    def homomorphism(
+        self, action: Callable[[Permutation], Permutation]
+    ) -> tuple[Permutation | None, ...]:
+        """The column of the homomorphism agreeing with ``action`` on the
+        generators: a breadth-first walk from the identity sets the image
+        of ``mul[x][g]`` to that of ``x`` followed by that of ``g``, and
+        raises ``ValueError`` if a revisit disagrees."""
+        images = [action(self.elements[g]) for g in self.generators]
+        identity = tuple(range(1, images[0].degree + 1))
+        # each generator's image as a lookup of 1-based sheets
+        lookups = [((0,) + image.images).__getitem__ for image in images]
+        column = {self.identity: identity}
+        queue = [self.identity]
+        for x in queue:
+            for g, lookup in zip(self.generators, lookups):
+                y, value = self.mul[x][g], tuple(map(lookup, column[x]))
+                if y not in column:
+                    column[y] = value
+                    queue.append(y)
+                elif column[y] != value:
+                    raise ValueError(f"the generator images {images} define no homomorphism")
+        # one ``Permutation`` per distinct image, none for the identity
+        perms = {value: Permutation(value) for value in set(column.values()) - {identity}}
+        return tuple(perms.get(column[x]) for x in range(len(column)))
 
 
 _TABLES: dict[int | BlockSystem, GroupTable] = {}
-
-
-def symmetric_table(degree: int) -> GroupTable:
-    """The table of the symmetric group of ``degree``, elements in
-    lexicographic order of their image tuples; built on first use."""
-    table = _TABLES.get(degree)
-    if table is None:
-        table = _TABLES[degree] = GroupTable(itertools.permutations(range(1, degree + 1)))
-    return table
-
-
-def block_table(blocks: BlockSystem) -> GroupTable:
-    """The table of the block group of ``blocks``; built on first use.
-
-    Element ``8 * a + v`` carries block ``j`` onto block ``p(j)``, where
-    ``p`` is element ``a`` of S3's table, sending the smaller sheet of
-    block ``j`` to the larger one of block ``p(j)`` exactly when bit
-    ``3 - j`` of ``v`` is set (block 1 is the high bit).
-    """
-    table = _TABLES.get(blocks)
-    if table is None:
-        elements = []
-        for action in itertools.permutations(range(3)):
-            for v in range(8):
-                images = [0] * 6
-                for j, target in enumerate(action):
-                    flip = (v >> (2 - j)) & 1
-                    for pos in range(2):
-                        images[blocks[j][pos] - 1] = blocks[target][pos ^ flip]
-                elements.append(tuple(images))
-        table = _TABLES[blocks] = GroupTable(elements)
-    return table
-
 
 FIBER_SIMPLE = 2
 FIBER_TRIPLE = 3
@@ -241,96 +228,132 @@ _TYPE_BY_CYCLES = {
     (4,): FIBER_QUADRUPLE,
 }
 
-
-class Rows(dict):
-    """Image tuple of a group element -> its row, built by ``build`` on a
-    miss; ``degrees`` are the target degrees of the leading columns."""
-
-    def __init__(self, degrees: tuple[int, ...], build: Callable[[Permutation], tuple]):
-        super().__init__()
-        self.degrees = degrees
-        self._build = build
-
-    def __missing__(self, images: tuple[int, ...]) -> tuple:
-        built = self._build(Permutation(images))
-        n = len(self.degrees)
-        row = tuple(None if p.is_identity() else p for p in built[:n]) + built[n:]
-        self[images] = row
-        return row
+# the columns of S4: pairs and partition images, then the fibre type
+PAIR_IMAGE, PARTITION_IMAGE, FIBER_TYPE = range(3)
 
 
-BLOCK, SECTIONS, QUOTIENT, ORIENTATION, FLIPS, CYCLE_COUNTS = range(6)
-_BLOCK_DEGREES = (3, SECTION_COUNT, 4, 2)
-_BLOCK_ROWS: dict[BlockSystem, Rows] = {}
+def symmetric_table(degree: int) -> GroupTable:
+    """The table of the symmetric group of ``degree``, elements in
+    lexicographic order of their image tuples; built on first use.  S4's
+    table carries its columns."""
+    table = _TABLES.get(degree)
+    if table is None:
+        sheets = range(1, degree + 1)
+        # generated by (1 2) and (1 2 ... degree)
+        generators = ((2, 1, *sheets[2:]), (*sheets[1:], 1))
+        table = _TABLES[degree] = GroupTable(itertools.permutations(sheets), generators)
+        if degree == 4:
+            table.columns = (
+                table.homomorphism(pairs_action),
+                table.homomorphism(partition_action),
+                tuple(_TYPE_BY_CYCLES[p.cycle_type()] for p in table.elements),
+            )
+            table.degrees = (len(PAIRS), 3)
+    return table
 
 
-def block_rows(blocks: BlockSystem) -> Rows:
-    """The rows of the block group of ``blocks``: block, sections,
-    quotient and orientation images, then the flip pattern and the
-    sections and quotient cycle counts."""
-    rows = _BLOCK_ROWS.get(blocks)
-    if rows is None:
-        rows = _BLOCK_ROWS.setdefault(
-            blocks, Rows(_BLOCK_DEGREES, lambda perm: _block_row(perm, blocks))
-        )
-    return rows
+# the columns of a block group: its four images, the cycle counts of the
+# sections and quotient images, then the flip pattern
+BLOCK, SECTIONS, QUOTIENT, ORIENTATION, CYCLE_COUNTS, FLIPS = range(6)
 
 
-def _block_row(perm: Permutation, blocks: BlockSystem) -> tuple:
-    # the block image first: an entry tearing the blocks is then reported
-    # by the first block it does not carry onto one, which is the error
-    # ``validate_tower`` lists for it
-    block = block_action(perm, blocks)
-    sections = sections_action(perm, blocks)
-    flips = []
-    for block_cycle in block.cycles(include_fixed=True):
-        upstairs = perm.cycle_through(min(s for bi in block_cycle for s in blocks[bi - 1]))
-        if len(upstairs) != len(block_cycle):
-            flips.append((block_cycle, upstairs))
-    quotient = quotient_action(sections)
-    counts = (len(sections.cycles(include_fixed=True)), len(quotient.cycles(include_fixed=True)))
-    return block, sections, quotient, orientation_action(sections), tuple(flips), counts
+def block_table(blocks: BlockSystem) -> GroupTable:
+    """The table of the block group of ``blocks``; built on first use.
+
+    Element ``8 * a + v`` carries block ``j`` onto block ``p(j)``, where
+    ``p`` is element ``a`` of S3's table, sending the smaller sheet of
+    block ``j`` to the larger one of block ``p(j)`` exactly when bit
+    ``3 - j`` of ``v`` is set (block 1 is the high bit).  Over
+    ``CANONICAL_BLOCKS`` it is generated by the block transposition
+    (1 3)(2 4), the block 3-cycle (1 3 5)(2 4 6) and the flip (1 2);
+    every other table is the canonical one relabelled.
+    """
+    table = _TABLES.get(blocks)
+    if table is None:
+        if blocks == CANONICAL_BLOCKS:
+            # sheet s + 1 lies in block s // 2 at position s % 2, and goes
+            # to the other position in its image block if that block's bit
+            # of v is set
+            table = GroupTable(
+                (
+                    tuple(2 * a[s // 2] + (s % 2 ^ (v >> (2 - s // 2)) & 1) + 1 for s in range(6))
+                    for a in itertools.permutations(range(3))
+                    for v in range(8)
+                ),
+                ((3, 4, 1, 2, 5, 6), (3, 4, 5, 6, 1, 2), (2, 1, 3, 4, 5, 6)),
+            )
+            sections = functools.partial(sections_action, blocks=CANONICAL_BLOCKS)
+            columns = (
+                table.homomorphism(functools.partial(block_action, blocks=CANONICAL_BLOCKS)),
+                table.homomorphism(sections),
+                table.homomorphism(lambda p: quotient_action(sections(p))),
+                table.homomorphism(lambda p: orientation_action(sections(p))),
+            )
+            counts = tuple(
+                (_cycle_count(s, SECTION_COUNT), _cycle_count(q, 4))
+                for s, q in zip(columns[SECTIONS], columns[QUOTIENT])
+            )
+            table.columns, table.degrees = columns + (counts,), (3, SECTION_COUNT, 4, 2)
+        else:
+            # conjugate by the sheet relabelling carrying CANONICAL_BLOCKS
+            # onto ``blocks``: own elements and index, shared products
+            sheets = dict(zip(itertools.chain(*CANONICAL_BLOCKS), itertools.chain(*blocks)))
+            order = sorted(sheets, key=sheets.get)
+            table = copy.copy(block_table(CANONICAL_BLOCKS))
+            table.elements = tuple(
+                Permutation(tuple(sheets[p(s)] for s in order)) for p in table.elements
+            )
+            table.index = {p.images: i for i, p in enumerate(table.elements)}
+        table.columns = table.columns[:FLIPS] + (_flips(table, blocks),)
+        _TABLES[blocks] = table
+    return table
 
 
-def _s4_row(perm: Permutation) -> tuple:
-    pairs = pairs_action(perm)
-    return pairs, block_action(pairs, PARTITION_BLOCKS), _TYPE_BY_CYCLES[perm.cycle_type()]
+def _cycle_count(perm: Permutation | None, degree: int) -> int:
+    return degree if perm is None else len(perm.cycles(include_fixed=True))
 
 
-# the rows of S4: pairs and partition images, then the fibre type
-S4_ROWS = Rows((6, 3), _s4_row)
-FIBER_TYPE = 2
+def _flips(table: GroupTable, blocks: BlockSystem) -> tuple:
+    """Each element's flip pattern: ``(block cycle, upstairs cycle)`` for
+    every block cycle whose cycle through its smallest sheet is twice as
+    long (the only other length it can have is the block cycle's own)."""
+    column = []
+    for perm, action in zip(table.elements, table.columns[BLOCK]):
+        flips = []
+        for block_cycle in (action or Permutation.identity(3)).cycles(include_fixed=True):
+            upstairs = perm.cycle_through(min(s for bi in block_cycle for s in blocks[bi - 1]))
+            if len(upstairs) == 2 * len(block_cycle):
+                flips.append((block_cycle, upstairs))
+            elif len(upstairs) != len(block_cycle):
+                raise ValueError(f"impossible block pattern: {upstairs!r} over {block_cycle!r}")
+        column.append(tuple(flips))
+    return tuple(column)
 
 
 def classify_fiber(perm: Permutation) -> int:
     """Fibre type 1-5 of a degree-4 monodromy entry by cycle type, read
-    from its S4 row."""
+    from S4's fibre-type column."""
     if perm.degree != 4:
         raise ValueError("fibre types are defined for degree-4 permutations")
-    return S4_ROWS[perm.images][FIBER_TYPE]
+    table = symmetric_table(4)
+    return table.columns[FIBER_TYPE][table.index[perm.images]]
 
 
 def derive(
-    cover: BranchedCover, rows: Rows, columns: Sequence[int] | None = None
+    cover: BranchedCover, table: GroupTable, columns: Sequence[int]
 ) -> tuple[BranchedCover, ...]:
-    """The covers with entries the ``columns`` of each entry's row (all
-    columns by default), in one pass over ``cover``'s entries.
-
-    Raises ``ValueError`` naming the first label whose row cannot be
-    built, that is, whose entry is not in the group.
-    """
-    picked = [(c, [], []) for c in (range(len(rows.degrees)) if columns is None else columns)]
+    """The covers with entries the image ``columns`` of ``table`` at each
+    entry's index, in one pass over ``cover``'s entries; ``KeyError`` if
+    an entry is not in the group."""
+    picked = [(table.degrees[c], table.columns[c], [], []) for c in columns]
     for label, perm in zip(cover.labels, cover.monodromy):
-        try:
-            row = rows[perm.images]
-        except ValueError as err:
-            raise ValueError(f"monodromy at {label!r}: {err}") from None
-        for column, labels, images in picked:
-            image = row[column]
+        x = table.index[perm.images]
+        for _, column, labels, images in picked:
+            image = column[x]
             if image is not None:
                 labels.append(label)
                 images.append(image)
     return tuple(
-        BranchedCover._derived(rows.degrees[c], tuple(labels), tuple(images))
-        for c, labels, images in picked
+        BranchedCover._derived(degree, tuple(labels), tuple(images))
+        for degree, _, labels, images in picked
     )

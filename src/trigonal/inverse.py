@@ -10,12 +10,12 @@ pair holding sheet 1, so the complement swaps pair indices 1/6, 2/5,
 blocks (1,6), (2,5), (3,4).  The pairs cover and the partition cover
 are the images of the input under S4's pairs and partition
 homomorphisms, made by one ``groups.derive`` pass over its entries
-from the S4 table rows.
+from the S4 table's image columns.
 
-A fibre of the tetragonal cover has a type 1-5 by its cycle type, an
-entry of the S4 rows (``groups.classify_fiber``).  A
-``TetragonalCover`` reads each entry's type once, for its stratum, and
-keeps the types for ``fiber_types``.  Types 4 and 5 are exactly the
+A fibre of the tetragonal cover has a type 1-5 by its cycle type, a
+column of the S4 table (``groups.classify_fiber``).  A
+``TetragonalCover`` looks each entry's index up once and keeps the
+indices: its stratum and ``fiber_types`` read columns at them.  Types 4 and 5 are exactly the
 fibres where the pairs cover, a tower over the partitions, ramifies
 over the partition cover, and it does so in two points.
 ``_glue_flips`` glues them, and their cycles of pairs upstairs, as it
@@ -53,12 +53,14 @@ from .groups import (
     FIBER_QUADRUPLE,
     FIBER_TYPE,
     FLIPS,
+    PAIR_IMAGE,
     PARTITION_BLOCKS,
-    S4_ROWS,
-    block_rows,
+    PARTITION_IMAGE,
+    block_table,
     derive,
+    symmetric_table,
 )
-from .permutation import Permutation, compose
+from .permutation import Permutation, compose, orbits
 from .report import CheckReport, CheckResult
 from .towers import (
     ETALE,
@@ -80,39 +82,48 @@ class TetragonalCover:
     """A connected degree-4 cover together with its stratum.
 
     The stratum counts labels of type (2,2): none is ``m0``, one is
-    ``m1``, two is ``m2``, anything else (or any 4-cycle label) is
-    ``other``.
+    ``m1``, two is ``m2`` if S4 acts transitively on the three pair
+    partitions (the partition curve is connected), anything else (or
+    any 4-cycle label) is ``other``.
     """
 
     cover: BranchedCover
     stratum: str = field(init=False)
-    # each entry's fibre type, read once from its S4 row for the stratum
-    _types: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    # each entry's index in S4's table, looked up once
+    _indices: list[int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.cover.degree != 4:
             raise ValueError(f"tetragonal cover must have degree 4, got {self.cover.degree}")
         if not self.cover.is_connected():
             raise ValueError("tetragonal cover must be connected")
-        types = tuple(S4_ROWS[p.images][FIBER_TYPE] for p in self.cover.monodromy)
-        object.__setattr__(self, "_types", types)
-        object.__setattr__(self, "stratum", _stratum(types))
+        table = symmetric_table(4)
+        object.__setattr__(self, "_indices", table.indices(self.cover.monodromy))
+        object.__setattr__(self, "stratum", _stratum(self._indices, table.columns))
 
     @property
     def genus(self) -> int:
         return cover_genus(self.cover)
 
     def fiber_types(self) -> dict[str, int]:
-        return dict(zip(self.cover.labels, self._types))
+        types = symmetric_table(4).columns[FIBER_TYPE]
+        return {label: types[x] for label, x in zip(self.cover.labels, self._indices)}
 
 
 # the strata by their number of (2,2) labels
 _STRATA_BY_DOUBLES = (STRATUM_M0, STRATUM_M1, STRATUM_M2)
 
 
-def _stratum(types: tuple[int, ...]) -> str:
+def _stratum(indices: list[int], columns: tuple[tuple, ...]) -> str:
+    types = [columns[FIBER_TYPE][x] for x in indices]
     doubles = types.count(FIBER_DOUBLE_DOUBLE)
     if FIBER_QUADRUPLE in types or doubles >= len(_STRATA_BY_DOUBLES):
+        return STRATUM_OTHER
+    # two (2,2) labels can leave the monodromy in a dihedral group that
+    # fixes a partition: the partition curve is then disconnected, and
+    # the pairs cover is no tower
+    partitions = columns[PARTITION_IMAGE]
+    if doubles == 2 and len(orbits([partitions[x] for x in indices if partitions[x]], 3)) != 1:
         return STRATUM_OTHER
     return _STRATA_BY_DOUBLES[doubles]
 
@@ -139,11 +150,12 @@ def _glue_flips(
     block cycles are glued downstairs, their upstairs cycles upstairs,
     the longer block cycle first.
     """
-    rows = block_rows(blocks)
+    table = block_table(blocks)
+    column = table.columns[FLIPS]
     lower: list[tuple[CoverPoint, CoverPoint]] = []
     upper: list[tuple[CoverPoint, CoverPoint]] = []
-    for label, perm in cover.entries():
-        flips = rows[perm.images][FLIPS]
+    for label, x in zip(cover.labels, table.indices(cover.monodromy)):
+        flips = column[x]
         if not flips:
             continue
         if len(flips) != 2:
@@ -160,7 +172,9 @@ def invert(tetragonal: TetragonalCover) -> InverseResult:
     Every connected degree-4 cover is accepted; degenerate fibres only
     show up as node markers, never as changed permutations.
     """
-    pairs_cover, trigonal_cover = derive(tetragonal.cover, S4_ROWS)
+    pairs_cover, trigonal_cover = derive(
+        tetragonal.cover, symmetric_table(4), (PAIR_IMAGE, PARTITION_IMAGE)
+    )
     trigonal_model, pairs_model = _glue_flips(pairs_cover, trigonal_cover, PARTITION_BLOCKS)
     return InverseResult(
         source=tetragonal,

@@ -11,9 +11,9 @@ The groups acting here are tiny (S3, S4, the 48-element block group in
 S6 and its image in S8), so the kernel is memoized on image tuples:
 ``compose`` on the pair ``(p.images, q.images)``, ``cycles`` on
 ``(images, include_fixed)``, ``is_identity`` and ``inverse`` on ``images``,
-``induced_action`` on ``(perm, points)`` (it builds the table rows of
-``groups`` and, on a miss of ``covers._restriction``, a component's
-entries), ``orbits`` on the
+``induced_action`` on ``(perm, points)`` (it gives the ``groups``
+columns their generator images and, on a miss of
+``covers._restriction``, a component's entries), ``orbits`` on the
 sorted distinct generator images and the degree, and
 ``Permutation.identity`` on the degree.  Each memo is an ``lru_cache``
 bounded at ``MEMO_SIZE`` entries, and a call that raises is not stored.

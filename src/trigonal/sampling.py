@@ -23,9 +23,10 @@ lift list, each draw one ``next_u64`` taken modulo its pool's length.
 Draws are indices into the ``groups`` tables: S3 for a tower's base,
 S4 for an m0 cover, the block group over ``CANONICAL_BLOCKS`` for flips
 and lifts.  Each pool lists its elements in a fixed order:
-transpositions and 3-cycles as ``_transpositions`` and
-``_three_cycles`` list them, a block action's etale lifts by lift
-vector, the flips as ``_SINGLE_FLIPS`` and ``_DOUBLE_FLIPS``.  Each
+transpositions and 3-cycles by their cycle written from its least
+sheet, a block action's etale lifts (the lifts with an empty flip
+pattern) by lift vector, the flips as ``_SINGLE_FLIPS`` and
+``_DOUBLE_FLIPS``.  Each
 list is drawn in one loop (``_draw``) that keeps the running product,
 so the solved last entry is one table inverse.  Only a candidate that
 passes the etale test becomes ``Permutation`` objects, the tables'
@@ -40,18 +41,10 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from .covers import BranchedCover
-from .groups import GroupTable, block_table, symmetric_table
+from .groups import CANONICAL_BLOCKS, FLIPS, GroupTable, block_table, symmetric_table
 from .inverse import STRATUM_M0, TetragonalCover
 from .permutation import MEMO_SIZE, Permutation, orbits
-from .towers import (
-    GENERAL,
-    MODES,
-    SPECIAL,
-    BlockSystem,
-    Tower,
-    TowerValidationError,
-    validate_tower,
-)
+from .towers import GENERAL, MODES, SPECIAL, Tower, TowerValidationError, validate_tower
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -59,7 +52,6 @@ _GOLDEN = 0x9E3779B97F4A7C15
 SAMPLE_M0 = "m0"
 SAMPLE_KINDS = MODES + (SAMPLE_M0,)
 
-CANONICAL_BLOCKS = BlockSystem.from_pairs([(1, 2), (3, 4), (5, 6)])
 # candidates a sampler draws before it gives up with ``RuntimeError``
 MAX_RETRIES = 1000
 
@@ -130,24 +122,6 @@ class SampleConfig:
         return self.ramification_budget - 2 * self.three_cycle_labels
 
 
-def _transpositions(degree: int) -> tuple[Permutation, ...]:
-    out = []
-    for a in range(1, degree + 1):
-        for b in range(a + 1, degree + 1):
-            out.append(Permutation.from_cycles(degree, [(a, b)]))
-    return tuple(out)
-
-
-def _three_cycles(degree: int) -> tuple[Permutation, ...]:
-    out = []
-    for a in range(1, degree + 1):
-        for b in range(1, degree + 1):
-            for c in range(1, degree + 1):
-                if len({a, b, c}) == 3 and a == min(a, b, c):
-                    out.append(Permutation.from_cycles(degree, [(a, b, c)]))
-    return tuple(out)
-
-
 # the flips of one block j at position j - 1, and of the two blocks
 # other than block j at position j - 1
 _SINGLE_FLIPS = tuple(Permutation.from_cycles(6, [block]) for block in CANONICAL_BLOCKS)
@@ -162,14 +136,17 @@ _DOUBLE_FLIPS = tuple(
 _POOLS: dict = {}
 
 
-def _symmetric_pools(degree: int) -> tuple[GroupTable, tuple[int, ...], tuple[int, ...]]:
+def _symmetric_pools(degree: int) -> tuple[GroupTable, list[int], list[int]]:
     pools = _POOLS.get(degree)
     if pools is None:
         table = symmetric_table(degree)
+        # the elements that are one cycle, in the order of that cycle
+        # written from its least sheet
+        cycles = sorted((p.cycles(), x) for x, p in enumerate(table.elements) if len(p.cycles()) == 1)
         pools = _POOLS[degree] = (
             table,
-            table.indices(_transpositions(degree)),
-            table.indices(_three_cycles(degree)),
+            [x for (cycle,), x in cycles if len(cycle) == 2],
+            [x for (cycle,), x in cycles if len(cycle) == 3],
         )
     return pools
 
@@ -178,29 +155,15 @@ def _lift_pools() -> tuple:
     pools = _POOLS.get(CANONICAL_BLOCKS)
     if pools is None:
         table = block_table(CANONICAL_BLOCKS)
-        actions = enumerate(symmetric_table(3).elements)
+        flips = table.columns[FLIPS]
         pools = _POOLS[CANONICAL_BLOCKS] = (
             table,
-            tuple(_etale_lifts(a, action) for a, action in actions),
+            # S3 element a's lifts are 8a..8a+7 in lift-vector order
+            tuple(tuple(x for x in range(8 * a, 8 * a + 8) if not flips[x]) for a in range(6)),
             table.indices(_SINGLE_FLIPS),
             table.indices(_DOUBLE_FLIPS),
         )
     return pools
-
-
-def _etale_lifts(a: int, action: Permutation) -> tuple[int, ...]:
-    """The lifts of ``action``, element ``a`` of S3's table acting on
-    ``CANONICAL_BLOCKS``, that keep the in-block double cover unramified
-    over every point of the base fibre, as block-table indices ordered
-    by lift vector ``v`` (see ``groups.block_table``): those whose ``v``
-    sums to an even number around every block cycle, so is zero on fixed
-    blocks."""
-    cycles = action.cycles(include_fixed=True)
-    return tuple(
-        8 * a + v
-        for v in range(8)
-        if not any(sum((v >> (3 - b)) & 1 for b in cycle) % 2 for cycle in cycles)
-    )
 
 
 def _draw(
@@ -220,7 +183,7 @@ def _draw(
 
 
 def _draw_base(
-    next_u64: Callable[[], int], pools: list[tuple[int, ...]], table: GroupTable
+    next_u64: Callable[[], int], pools: list[list[int]], table: GroupTable
 ) -> list[int] | None:
     """Base indices for every pool, the last solved from the product-one
     relation; ``None`` if it misses its pool or the cover is disconnected."""
@@ -234,7 +197,7 @@ def _draw_base(
     return drawn
 
 
-def _base_pools(cfg: SampleConfig, degree: int) -> tuple[GroupTable, list[tuple[int, ...]]]:
+def _base_pools(cfg: SampleConfig, degree: int) -> tuple[GroupTable, list[list[int]]]:
     """S_degree's table and the index pool of each base label:
     transpositions, then 3-cycles."""
     table, transpositions, three_cycles = _symmetric_pools(degree)

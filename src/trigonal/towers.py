@@ -8,9 +8,9 @@ the "flip" labels; the double cover is ramified exactly at the flipped
 blocks.  A tower is Etale (no flips), General (two flips over distinct
 labels) or Special (one label flipping two of its three blocks).
 
-``BlockSystem`` lives in ``groups``, with the block group's table
-rows; the trigonal curve and the flip points are read from each
-entry's row.
+``BlockSystem`` lives in ``groups``, with the block group's table;
+the trigonal curve and the flip points are read from its columns at
+each entry's index.
 """
 from __future__ import annotations
 
@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .covers import BranchedCover, CoverPoint, genus
-from .groups import BLOCK, FLIPS, BlockSystem, block_rows, derive
+from .groups import BLOCK, FLIPS, BlockSystem, block_action, block_table, derive
 
 ETALE = "etale"
 GENERAL = "general"
@@ -35,19 +35,17 @@ def flip_points(cover: BranchedCover, blocks: BlockSystem) -> tuple[CoverPoint, 
 
     Over a length-l cycle of the block action the 2l sheets above it
     form either a single 2l-cycle (the double cover is ramified there)
-    or two l-cycles (it is not); no other pattern can occur for a
-    block-preserving permutation, and any other is rejected.
+    or two l-cycles (it is not); the flip-pattern column lists the first
+    kind, and its build rejects any other.  Every entry must preserve
+    the blocks, as ``validate_tower`` checks first.
     """
-    rows = block_rows(blocks)
-    out = []
-    for label, perm in cover.entries():
-        for block_cycle, upstairs in rows[perm.images][FLIPS]:
-            if len(upstairs) != 2 * len(block_cycle):
-                raise ValueError(
-                    f"impossible block pattern at {label!r}: cycle {upstairs!r} over {block_cycle!r}"
-                )
-            out.append(CoverPoint(label, block_cycle))
-    return tuple(out)
+    table = block_table(blocks)
+    flips = table.columns[FLIPS]
+    return tuple(
+        CoverPoint(label, block_cycle)
+        for label, x in zip(cover.labels, table.indices(cover.monodromy))
+        for block_cycle, _ in flips[x]
+    )
 
 
 def flip_weights(flips: Sequence[CoverPoint]) -> Counter[str]:
@@ -91,15 +89,13 @@ def validate_tower(cover: BranchedCover, blocks: BlockSystem) -> Tower:
     if cover.degree != 6:
         raise TowerValidationError([f"tower cover must have degree 6, got {cover.degree}"])
 
-    rows = block_rows(blocks)
     try:
-        # one row lookup per entry; a row builds exactly when the entry
-        # preserves the blocks
-        (trigonal,) = derive(cover, rows, (BLOCK,))
-    except ValueError:
+        # an entry has an index exactly when it preserves the blocks
+        (trigonal,) = derive(cover, block_table(blocks), (BLOCK,))
+    except KeyError:
         for label, perm in cover.entries():
             try:
-                rows[perm.images]
+                block_action(perm, blocks)
             except ValueError as err:
                 errors.append(f"monodromy at {label!r} does not preserve the blocks: {err}")
         raise TowerValidationError(errors) from None

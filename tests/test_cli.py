@@ -93,6 +93,22 @@ def test_classify(capsys):
     assert set(payload["fiber_types"].values()) == {2}
 
 
+def test_classify_reports_two_double_labels_over_a_disconnected_partition_curve_as_other(
+    tmp_path, capsys
+):
+    # (1 2), (1 2), (3 4), (3 4), (1 2), (1 2), (1 3)(2 4), (1 3)(2 4)
+    cycles = [[[1, 2]]] * 2 + [[[3, 4]]] * 2 + [[[1, 2]]] * 2 + [[[1, 3], [2, 4]]] * 2
+    doc = tmp_path / "m2.json"
+    doc.write_text(json.dumps({
+        "degree": 4,
+        "branch_points": [{"label": f"b{i:02d}", "monodromy": c} for i, c in enumerate(cycles, start=1)],
+    }))
+    code, out, _ = run(capsys, "classify", "--in", str(doc))
+    assert code == 0
+    payload = json.loads(out)
+    assert (payload["stratum"], payload["genus"]) == ("other", 2)
+
+
 def test_sample_is_deterministic_per_seed(tmp_path, capsys):
     a = tmp_path / "a.json"
     b = tmp_path / "b.json"

@@ -1,6 +1,6 @@
-"""The block-group and S4 table rows: homomorphisms on the whole group,
-equal to the per-cover induced covers they replace, and bounded by the
-group orders."""
+"""The block-group and S4 table columns: homomorphisms on the whole
+group, equal to the induced actions and the per-cover induced covers
+they replace, and shared by every block system's table."""
 import itertools
 import json
 
@@ -15,13 +15,17 @@ from trigonal import (
     TetragonalCover,
     TowerValidationError,
     block_action,
+    classify_fiber,
     components,
     compose,
     construct,
     induced_cover,
     invert,
+    pairs_action,
+    partition_action,
     sample_tetragonal,
     sample_tower,
+    sections_action,
     validate_tower,
 )
 from trigonal.batch import SUITE_MODES, spread_configs
@@ -34,19 +38,20 @@ from trigonal.groups import (
     FLIPS,
     INVOLUTION,
     ORIENTATION,
+    PAIR_IMAGE,
     PAIRS,
     PARITY_CLASSES,
     PARTITION_BLOCKS,
+    PARTITION_IMAGE,
     QUOTIENT,
     QUOTIENT_CLASSES,
-    S4_ROWS,
     SECTIONS,
     TO_ORIENTATION,
     TO_QUOTIENT,
     GroupTable,
-    block_rows,
     block_table,
-    classify_fiber,
+    orientation_action,
+    quotient_action,
     symmetric_table,
     transversal_sheets,
 )
@@ -79,55 +84,78 @@ def test_there_are_fifteen_block_systems():
     assert len(set(BLOCK_SYSTEMS)) == 15
 
 
+def _is_homomorphism_column(table, column, degree):
+    # all products of two elements, against the composed images
+    for a, b in itertools.product(range(len(table.elements)), repeat=2):
+        assert _images(column[table.mul[a][b]], degree) == _compose(
+            _images(column[a], degree), _images(column[b], degree)
+        )
+
+
+def _oracle(image):
+    return None if image.is_identity() else image
+
+
 @pytest.mark.parametrize("blocks", BLOCK_SYSTEMS, ids=lambda b: str(b.blocks))
 def test_block_rows_are_homomorphisms_on_the_whole_group(blocks):
-    rows = block_rows(blocks)
-    group = []
-    for p in S6:  # every non-member fails to build and leaves no row
-        if _preserves(p, blocks):
-            group.append(p.images)
-            rows[p.images]
-        else:
-            with pytest.raises(ValueError, match="not a point"):
-                rows[p.images]
-    assert len(group) == 48
-    assert len(rows) == 48
-    for a, b in itertools.product(group, repeat=2):
-        ab = rows[_compose(a, b)]
-        for column, degree in enumerate(rows.degrees):
-            assert _images(ab[column], degree) == _compose(
-                _images(rows[a][column], degree), _images(rows[b][column], degree)
-            )
-    assert len(rows) == 48
+    # an element's row is its entry in every column
+    table = block_table(blocks)
+    for p in S6:  # exactly the members have an index
+        assert (p.images in table.index) == _preserves(p, blocks)
+    assert len(table.elements) == 48
+    for p, *row in zip(table.elements, *table.columns[:CYCLE_COUNTS]):
+        sections = sections_action(p, blocks)
+        assert row == [
+            _oracle(block_action(p, blocks)),
+            _oracle(sections),
+            _oracle(quotient_action(sections)),
+            _oracle(orientation_action(sections)),
+        ]
+    assert table.degrees == (3, 8, 4, 2)
+    for column, degree in zip(table.columns, table.degrees):
+        _is_homomorphism_column(table, column, degree)
 
 
 def test_s4_rows_are_homomorphisms_on_the_whole_group():
-    for p in S4:
-        S4_ROWS[p.images]
-    assert len(S4_ROWS) == 24
-    for a, b in itertools.product(S4, repeat=2):
-        ab = S4_ROWS[_compose(a.images, b.images)]
-        for column, degree in enumerate(S4_ROWS.degrees):
-            assert _images(ab[column], degree) == _compose(
-                _images(S4_ROWS[a.images][column], degree), _images(S4_ROWS[b.images][column], degree)
-            )
+    table = symmetric_table(4)
+    assert sorted(table.elements, key=lambda p: p.images) == sorted(S4, key=lambda p: p.images)
+    columns = zip(table.elements, table.columns[PAIR_IMAGE], table.columns[PARTITION_IMAGE])
+    for p, pairs, partition in columns:
+        assert (pairs, partition) == (_oracle(pairs_action(p)), _oracle(partition_action(p)))
+    assert table.degrees == (6, 3)
+    for column, degree in zip(table.columns, table.degrees):
+        _is_homomorphism_column(table, column, degree)
     for wrong in (Permutation((2, 1, 3)), Permutation((2, 1, 3, 4, 5))):
-        with pytest.raises(ValueError, match="degree-4"):
-            S4_ROWS[wrong.images]
-    assert len(S4_ROWS) == 24
+        assert wrong.images not in table.index
+
+
+def test_a_column_build_raises_on_generator_images_that_define_no_homomorphism():
+    table = symmetric_table(4)
+    assert [table.elements[g].images for g in table.generators] == [(2, 1, 3, 4), (2, 3, 4, 1)]
+    swap = Permutation((2, 1))
+    # the sign character builds; a transposition in the kernel with a
+    # 4-cycle outside it does not
+    sign = table.homomorphism(lambda p: swap)
+    assert [p is None for p in sign] == [
+        p.cycle_type() in ((1, 1, 1, 1), (3, 1), (2, 2)) for p in table.elements
+    ]
+    with pytest.raises(ValueError, match="define no homomorphism"):
+        table.homomorphism(lambda p: swap if p.images == (2, 3, 4, 1) else Permutation.identity(2))
+    # a flip sent to a 3-cycle: its square is the identity, the image's not
+    with pytest.raises(ValueError, match="define no homomorphism"):
+        block_table(CANONICAL_BLOCKS).homomorphism(lambda p: Permutation((2, 3, 1)))
 
 
 @pytest.mark.parametrize("blocks", BLOCK_SYSTEMS, ids=lambda b: str(b.blocks))
 def test_block_rows_hold_the_cycle_counts_and_break_no_square(blocks):
-    rows = block_rows(blocks)
-    for p in block_group(blocks):
-        row = rows[p.images]
+    table = block_table(blocks)
+    for x, p in enumerate(table.elements):
         sections, quotient, orientation = (
-            Permutation(_images(row[column], degree))
+            Permutation(_images(table.columns[column][x], degree))
             for column, degree in ((SECTIONS, 8), (QUOTIENT, 4), (ORIENTATION, 2))
         )
         counts = (len(sections.cycles(include_fixed=True)), len(quotient.cycles(include_fixed=True)))
-        assert row[CYCLE_COUNTS] == counts
+        assert table.columns[CYCLE_COUNTS][x] == counts
         # the quotient counts the involution's orbits on the section
         # cycles, so the sections count doubles it exactly when the
         # involution carries no cycle onto itself
@@ -135,12 +163,13 @@ def test_block_rows_hold_the_cycle_counts_and_break_no_square(blocks):
         assert (counts[0] == 2 * counts[1]) == (not fixed)
         # which holds for every entry a tower can carry: a flip-free lift,
         # or a flip of one or two blocks over a trivial block action
-        if not row[FLIPS] or (row[BLOCK] is None and len(row[FLIPS]) < 3):
+        flips = table.columns[FLIPS][x]
+        if not flips or (table.columns[BLOCK][x] is None and len(flips) < 3):
             assert counts[0] == 2 * counts[1]
         for t in range(1, 9):
             assert TO_QUOTIENT[sections(t) - 1] == quotient(TO_QUOTIENT[t - 1])
             assert TO_ORIENTATION[sections(t) - 1] == orientation(TO_ORIENTATION[t - 1])
-        assert _square_breaks(p.images, blocks.blocks, TO_QUOTIENT, TO_ORIENTATION) == ()
+        assert _square_breaks(x, TO_QUOTIENT, TO_ORIENTATION) == ()
 
 
 # fibre type by cycle type, longest cycle first: the table of the paper's
@@ -149,14 +178,13 @@ REFERENCE_FIBER_TYPES = {(1, 1, 1, 1): 1, (2, 1, 1): 2, (3, 1): 3, (2, 2): 4, (4
 
 
 def test_s4_rows_hold_the_fibre_type_of_each_cycle_type():
-    for p in S4:
+    table = symmetric_table(4)
+    for p, fiber in zip(table.elements, table.columns[FIBER_TYPE]):
         lengths = tuple(sorted((len(c) for c in p.cycles(include_fixed=True)), reverse=True))
-        assert S4_ROWS[p.images][FIBER_TYPE] == REFERENCE_FIBER_TYPES[lengths]
-        assert classify_fiber(p) == REFERENCE_FIBER_TYPES[lengths]
+        assert fiber == classify_fiber(p) == REFERENCE_FIBER_TYPES[lengths]
     for wrong in (Permutation((2, 1, 3)), Permutation.identity(5), Permutation((2, 1, 4, 3, 6, 5))):
         with pytest.raises(ValueError, match="degree-4"):
             classify_fiber(wrong)
-    assert len(S4_ROWS) == 24
 
 
 # -- derived covers equal the fully checked induced covers ---------------------
@@ -198,9 +226,17 @@ def test_group_tables_multiply_and_invert_as_the_kernel_does(table, group):
 
 def test_block_table_lists_each_block_action_with_its_lift_vectors():
     actions = symmetric_table(3).elements
+    canonical = block_table(CANONICAL_BLOCKS)
     for blocks in BLOCK_SYSTEMS:
         table = block_table(blocks)
         assert len(table.elements) == 48
+        # the canonical table relabelled: the same products and image
+        # columns, its own elements, index and flip pattern
+        assert table.mul is canonical.mul and table.inv is canonical.inv
+        assert table.identity == canonical.identity
+        assert all(a is b for a, b in zip(table.columns[:FLIPS], canonical.columns[:FLIPS]))
+        assert table.degrees == canonical.degrees
+        assert all(table.index[p.images] == i for i, p in enumerate(table.elements))
         for i, p in enumerate(table.elements):
             a, v = divmod(i, 8)
             assert block_action(p, blocks) == actions[a]
@@ -211,7 +247,7 @@ def test_block_table_lists_each_block_action_with_its_lift_vectors():
 def test_building_a_table_adds_nothing_to_the_kernel_memos():
     memos = (permutation._compose, permutation._inverse)
     before = [memo.cache_info().currsize for memo in memos]
-    fresh = GroupTable(itertools.permutations(range(1, 5)))
+    fresh = GroupTable(itertools.permutations(range(1, 5)), [(2, 1, 3, 4), (2, 3, 4, 1)])
     assert fresh.mul == symmetric_table(4).mul
     assert [memo.cache_info().currsize for memo in memos] == before
 
@@ -340,13 +376,10 @@ def _torn_document():
 
 def test_entries_outside_the_block_group_are_all_listed_in_label_order():
     cover = _torn_document()
-    rows = block_rows(CANONICAL_BLOCKS)
-    before = len(rows)
     for _ in range(2):
         with pytest.raises(TowerValidationError) as err:
             validate_tower(cover, CANONICAL_BLOCKS)
         assert err.value.errors == TORN_ERRORS
-    assert len(rows) == before <= 48
 
 
 def test_validate_prints_every_torn_label_and_exits_1(tmp_path, capsys):

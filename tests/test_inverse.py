@@ -27,8 +27,17 @@ from trigonal import (
     roundtrip_etale,
     validate_tower,
 )
+from trigonal.towers import TowerValidationError
 from trigonal.covers import CoverPoint
-from trigonal.groups import COMPLEMENT, FLIPS, S4_ROWS, block_rows, derive
+from trigonal.groups import (
+    COMPLEMENT,
+    FLIPS,
+    PAIR_IMAGE,
+    PARTITION_IMAGE,
+    block_table,
+    derive,
+    symmetric_table,
+)
 from trigonal.inverse import PARTITION_BLOCKS, _glue_flips
 from trigonal.jsonio import dumps_canonical, inverse_result_to_dict
 
@@ -115,6 +124,29 @@ def test_tetragonal_strata():
         TetragonalCover(BranchedCover.from_pairs(3, []))
 
 
+# two (2,2) labels with monodromy in the dihedral group fixing {12|34}:
+# connected, but the partition curve is not
+INTRANSITIVE_M2 = tuple(
+    Permutation.from_cycles(4, cycles)
+    for cycles in [[(1, 2)]] * 2 + [[(3, 4)]] * 2 + [[(1, 2)]] * 2 + [[(1, 3), (2, 4)]] * 2
+)
+
+
+def test_two_double_labels_with_an_intransitive_partition_action_are_stratum_other():
+    cover = BranchedCover.from_pairs(4, [(f"b{i:02d}", p) for i, p in enumerate(INTRANSITIVE_M2, start=1)])
+    tetragonal = TetragonalCover(cover)
+    assert (tetragonal.stratum, tetragonal.genus) == ("other", 2)
+    # invert still accepts every connected cover; its pairs cover is no tower
+    result = invert(tetragonal)
+    assert result.trigonal_cover.orbits == ((1,), (2, 3))
+    with pytest.raises(TowerValidationError) as err:
+        validate_tower(result.pairs_cover, result.blocks)
+    assert err.value.errors == [
+        "degree-6 cover is disconnected",
+        "block action is intransitive: the trigonal curve is disconnected",
+    ]
+
+
 def test_invert_m0_gives_an_etale_tower():
     result = construct(validate_tower(ETALE_COVER, CANONICAL_BLOCKS))
     from trigonal import components
@@ -199,10 +231,19 @@ def _per_type_nodes(label, perm):
 
 
 def test_the_pairs_cover_flips_exactly_over_types_four_and_five_on_all_of_s4():
-    rows = block_rows(PARTITION_BLOCKS)
+    table = block_table(PARTITION_BLOCKS)
     for perm in S4:
-        flips = rows[pairs_action(perm).images][FLIPS]
-        assert len(flips) == (2 if perm.cycle_type() in ((2, 2), (4,)) else 0), perm
+        pairs = pairs_action(perm)
+        # the partition cycles whose cycle of pairs through the first pair
+        # of their first partition is twice as long
+        doubled = [
+            cycle
+            for cycle in block_action(pairs, PARTITION_BLOCKS).cycles(include_fixed=True)
+            if len(pairs.cycle_through(PARTITION_BLOCKS[cycle[0] - 1][0])) == 2 * len(cycle)
+        ]
+        assert len(doubled) == (2 if perm.cycle_type() in ((2, 2), (4,)) else 0), perm
+        flips = table.columns[FLIPS][table.index[pairs.images]]
+        assert [cycle for cycle, _ in flips] == doubled, perm
 
 
 def test_gluing_the_flip_points_gives_the_per_type_nodes_on_all_of_s4():
@@ -210,7 +251,8 @@ def test_gluing_the_flip_points_gives_the_per_type_nodes_on_all_of_s4():
         if perm.is_identity():
             continue
         cover = BranchedCover.from_pairs(4, [("a", perm), ("b", perm.inverse())])
-        pairs, trigonal = derive(cover, S4_ROWS)
+        s4 = symmetric_table(4)
+        pairs, trigonal = derive(cover, s4, (PAIR_IMAGE, PARTITION_IMAGE))
         trigonal_model, pairs_model = _glue_flips(pairs, trigonal, PARTITION_BLOCKS)
         expected = [_per_type_nodes(label, p) for label, p in cover.entries()]
         # points, upstairs cycles and their order, node by node

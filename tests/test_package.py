@@ -51,14 +51,14 @@ def test_the_unused_import_check_sees_plain_from_and_aliased_imports():
 
 
 def test_a_fresh_import_builds_no_group_table_and_no_row():
-    # tables, rows and the samplers' index pools are built on first use,
-    # so importing the package and its CLI pays for none of them
+    # tables with their columns, and the samplers' index pools, are
+    # built on first use, so importing the package and its CLI pays for
+    # none of them
     code = (
         "import trigonal, trigonal.cli\n"
         "from trigonal import groups, sampling\n"
-        "print(len(groups._TABLES), sum(map(len, groups._BLOCK_ROWS.values())),"
-        " len(groups.S4_ROWS), len(sampling._POOLS))\n"
+        "print(len(groups._TABLES), len(sampling._POOLS))\n"
     )
     env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.split() == ["0", "0", "0", "0"]
+    assert out.stdout.split() == ["0", "0"]

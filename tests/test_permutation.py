@@ -337,7 +337,7 @@ def test_memos_stay_far_below_their_bound_over_the_five_suites():
         info = memo.cache_info()
         assert info.maxsize == MEMO_SIZE
         assert 0 < info.currsize <= MEMO_SIZE // 4, (memo.__name__, info)
-    # the table rows are bounded by the group orders instead
-    assert 0 < len(groups.block_rows(CANONICAL_BLOCKS)) <= 48
-    assert 0 < len(groups.block_rows(groups.PARTITION_BLOCKS)) <= 48
-    assert 0 < len(groups.S4_ROWS) <= 24
+    # the tables' columns are bounded by the group orders instead
+    for key, order in ((CANONICAL_BLOCKS, 48), (groups.PARTITION_BLOCKS, 48), (4, 24)):
+        columns = groups._TABLES[key].columns
+        assert columns and all(len(column) == order for column in columns), key

@@ -1,11 +1,13 @@
 """Seeded rejection sampler: determinism, admissibility, budgets."""
 import hashlib
+import itertools
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from trigonal import (
+    Permutation,
     SampleConfig,
     SplitMix64,
     derive_seed,
@@ -14,7 +16,7 @@ from trigonal import (
     sample_tower,
 )
 from trigonal import block_action, product, sampling
-from trigonal.groups import FLIPS, block_rows, block_table, symmetric_table
+from trigonal.groups import block_table, symmetric_table
 from trigonal.jsonio import cover_to_dict, dumps_canonical, tower_to_dict
 from trigonal.sampling import CANONICAL_BLOCKS
 
@@ -61,8 +63,11 @@ def test_draw_loop_draws_what_successive_choice_calls_draw(seed):
 def test_base_index_pools_list_the_transpositions_and_three_cycles_in_order(degree):
     table, transpositions, three_cycles = sampling._symmetric_pools(degree)
     assert table is symmetric_table(degree)
-    assert [table.elements[x] for x in transpositions] == list(sampling._transpositions(degree))
-    assert [table.elements[x] for x in three_cycles] == list(sampling._three_cycles(degree))
+    # (a b) for a < b, and (a b c) for a < b, c, each in lexicographic order
+    pairs = itertools.combinations(range(1, degree + 1), 2)
+    triples = [c for c in itertools.permutations(range(1, degree + 1), 3) if c[0] == min(c)]
+    assert [table.elements[x] for x in transpositions] == [Permutation.from_cycles(degree, [c]) for c in pairs]
+    assert [table.elements[x] for x in three_cycles] == [Permutation.from_cycles(degree, [c]) for c in triples]
 
 
 def test_lift_pools_list_the_etale_lifts_and_flips_in_order():
@@ -70,7 +75,13 @@ def test_lift_pools_list_the_etale_lifts_and_flips_in_order():
     assert table is block_table(CANONICAL_BLOCKS)
     assert [table.elements[x] for x in single] == list(sampling._SINGLE_FLIPS)
     assert [table.elements[x] for x in double] == list(sampling._DOUBLE_FLIPS)
-    rows = block_rows(CANONICAL_BLOCKS)
+
+    def etale(lift):
+        # over every block cycle, the sheets cycle in two cycles as long
+        return all(
+            len(lift.cycle_through(CANONICAL_BLOCKS[cycle[0] - 1][0])) == len(cycle)
+            for cycle in block_action(lift, CANONICAL_BLOCKS).cycles(include_fixed=True)
+        )
 
     def lift_vector(lift):
         # bit j: block j + 1's smaller sheet goes to the larger one of its image
@@ -78,9 +89,9 @@ def test_lift_pools_list_the_etale_lifts_and_flips_in_order():
 
     for action, lifts in zip(symmetric_table(3).elements, lifts_of):
         # the lifts of ``action`` keeping the in-block double cover
-        # unramified are those with no flip point, ordered by lift vector
+        # unramified, ordered by lift vector
         lifting = [p for p in table.elements if block_action(p, CANONICAL_BLOCKS) == action]
-        expected = sorted((p for p in lifting if not rows[p.images][FLIPS]), key=lift_vector)
+        expected = sorted(filter(etale, lifting), key=lift_vector)
         assert [table.elements[x] for x in lifts] == expected
     assert sorted(map(len, lifts_of)) == [1, 2, 2, 2, 4, 4]
 

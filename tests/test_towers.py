@@ -147,7 +147,7 @@ def test_memoized_flip_points_match_the_loop_on_the_whole_block_group():
     for blocks in BLOCK_SYSTEMS:
         group = block_group(blocks)
         assert len(group) == 48
-        for _ in range(2):  # the second pass reads the block rows
+        for _ in range(2):  # the second pass reads the built table
             for p in group:
                 if p.is_identity():
                     continue
