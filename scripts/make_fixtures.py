@@ -18,7 +18,6 @@ from trigonal import (
     BranchedCover,
     Permutation,
     TetragonalCover,
-    components,
     construct,
     invert,
     run_batch,
@@ -64,7 +63,7 @@ def documents() -> dict[str, dict]:
     assert (etale.mode, special.mode, general.mode) == ("etale", "special", "general")
     assert etale.genus == special.genus == general.genus == 3
 
-    part = components(construct(etale).sections)[0]
+    part = construct(etale).sections.components[0]
     tetragonal = TetragonalCover(part.cover)
     assert tetragonal.stratum == "m0" and tetragonal.genus == 2
 

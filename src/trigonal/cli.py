@@ -8,11 +8,13 @@ passed, 1 when a check failed, and 2 when an argument or input
 document is rejected or a file cannot be read or written; a rejection
 prints one ``error:`` line on stderr.  Documents go to --out (or
 stdout); wall-clock timing goes to stderr so captured output stays
-canonical.
+canonical.  ``construct`` writes its check report to stdout, or to
+stderr when ``--out -`` gives stdout the result document.
 """
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 import time
@@ -134,6 +136,9 @@ def _cmd_construct(args) -> int:
     if args.out:
         _emit(dumps_canonical(forward_result_to_dict(result)), args.out)
     _note_elapsed(started)
+    if args.out == "-":  # stdout carries the result document
+        with contextlib.redirect_stdout(sys.stderr):
+            return _emit_report(report, args.format, "-")
     return _emit_report(report, args.format, None if args.out else "-")
 
 

@@ -19,8 +19,8 @@ the permutation kernel, on the entry's image tuple and bounded at
 ``MEMO_SIZE``; ``perm_at`` returns the kernel's shared identity for a
 label the cover is not branched over.
 
-Every cover built from outside data (a decoded document, a sampler's
-candidate, ``induced_cover``) runs every check in ``__post_init__``.
+Every cover built from outside data (a decoded document or a sampler's
+candidate) runs every check in ``__post_init__``.
 The one exception is ``BranchedCover._derived``, the trusted
 constructor for a homomorphism image of a cover that was itself
 checked: entries phi(s) of the parent's entries s under a homomorphism
@@ -29,14 +29,14 @@ order, identity images dropped.  Then every check holds by
 construction, the product relation because
 phi(s1)...phi(sn) = phi(s1...sn) = phi(1) = 1.  Its callers are
 ``groups.derive``, whose columns are checked as homomorphisms as they
-are built, and ``components``, since restricting the monodromy to an
-invariant orbit is one.
+are built, and ``BranchedCover.components``, since restricting the
+monodromy to an invariant orbit is one.
 """
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 from .permutation import MEMO_SIZE, Permutation, induced_action, orbits, product
 
@@ -159,19 +159,6 @@ def label_cycles(cover: BranchedCover, label: str) -> tuple[tuple[int, ...], ...
     return cover.perm_at(label).cycles(include_fixed=True)
 
 
-def fiber_points(cover: BranchedCover, label: str) -> tuple[CoverPoint, ...]:
-    return tuple(CoverPoint(label, c) for c in label_cycles(cover, label))
-
-
-def point_on(cover: BranchedCover, label: str, cycle: Sequence[int]) -> CoverPoint:
-    """Validated constructor: the cycle must actually be a fibre point of
-    ``cover`` over ``label``."""
-    point = CoverPoint(label, tuple(cycle))
-    if point.cycle not in label_cycles(cover, label):
-        raise ValueError(f"{point.cycle!r} is not a cycle over {label!r}")
-    return point
-
-
 def genus(cover: BranchedCover) -> int:
     """Genus of a connected smooth cover, by Riemann-Hurwitz over the line."""
     if not cover.is_connected():
@@ -199,27 +186,6 @@ class Component:
 
     def from_parent(self, parent_sheet: int) -> int:
         return self.sheets.index(parent_sheet) + 1
-
-
-def induced_cover(cover: BranchedCover, points: tuple[tuple[int, ...], ...]) -> BranchedCover:
-    """The cover induced on ``points``, sheet sets numbered from 1, with
-    trivially acting labels dropped; raises ``ValueError`` naming the
-    label whose monodromy does not carry points onto points."""
-    entries = []
-    for label, perm in cover.entries():
-        try:
-            action = induced_action(perm, points)
-        except ValueError as err:
-            raise ValueError(f"monodromy at {label!r}: {err}") from None
-        if not action.is_identity():
-            entries.append((label, action))
-    return BranchedCover.from_pairs(len(points), entries)
-
-
-def components(cover: BranchedCover) -> tuple[Component, ...]:
-    """``cover.components``: its connected components, ordered by their
-    smallest parent sheet."""
-    return cover.components
 
 
 def _restrict(cover: BranchedCover, orbit: tuple[int, ...]) -> Component:
@@ -275,7 +241,7 @@ class NodalCoverModel:
 def arithmetic_genus(model: NodalCoverModel) -> int:
     """Arithmetic genus of the glued curve: component genera plus nodes
     minus components plus one."""
-    parts = components(model.normalization)
+    parts = model.normalization.components
     return sum(genus(c.cover) for c in parts) + len(model.nodes) - len(parts) + 1
 
 
@@ -336,11 +302,6 @@ def _propagate(pairs: list, start: int, target: int) -> dict[int, int] | None:
     return mapping if len(set(mapping.values())) == len(mapping) else None
 
 
-def are_isomorphic(first: BranchedCover, second: BranchedCover) -> Permutation | None:
-    """A conjugating relabeling if one exists, else ``None``."""
-    return next(iter_isomorphisms(first, second), None)
-
-
 def nodal_isomorphisms(first: NodalCoverModel, second: NodalCoverModel) -> Iterator[Permutation]:
     """All isomorphisms of normalizations carrying the node markers of
     the first model onto those of the second."""
@@ -348,8 +309,3 @@ def nodal_isomorphisms(first: NodalCoverModel, second: NodalCoverModel) -> Itera
     for rho in iter_isomorphisms(first.normalization, second.normalization):
         if frozenset(frozenset(p.mapped(rho) for p in pair) for pair in first.nodes) == want:
             yield rho
-
-
-def nodal_isomorphism(first: NodalCoverModel, second: NodalCoverModel) -> Permutation | None:
-    """A node-preserving isomorphism if one exists, else ``None``."""
-    return next(nodal_isomorphisms(first, second), None)

@@ -35,10 +35,9 @@ from .covers import (
     Component,
     CoverPoint,
     NodalCoverModel,
-    are_isomorphic,
     arithmetic_genus,
-    components,
     genus,
+    iter_isomorphisms,
     label_cycles,
 )
 from .groups import (
@@ -164,7 +163,7 @@ def component_tetragonal(result: ForwardResult) -> BranchedCover:
     involution is required to carry one component onto the other, and
     that certificate is checked before the component is returned.
     """
-    parts = components(result.sections)
+    parts = result.sections.components
     if len(parts) != 2:
         raise ValueError(f"sections cover has {len(parts)} component(s); expected a split into 2")
     first, second = parts
@@ -203,7 +202,7 @@ def verify_predictions(tower: Tower, result: ForwardResult) -> CheckReport:
         f"double cover genus {top_genus} over base genus {g}",
     )
 
-    parts = components(result.sections)
+    parts = result.sections.components
 
     if tower.mode == GENERAL:
         add("sections-connected", len(parts) == 1, f"{len(parts)} components")
@@ -386,7 +385,7 @@ def _split_checks(
         )
     )
     try:
-        iso = are_isomorphic(parts[0].cover, parts[1].cover)
+        iso = next(iter_isomorphisms(parts[0].cover, parts[1].cover), None)
         checks.append(CheckResult("components-isomorphic", iso is not None))
     except ValueError as err:
         checks.append(CheckResult("components-isomorphic", False, str(err)))

@@ -39,11 +39,9 @@ from .covers import (
     BranchedCover,
     CoverPoint,
     NodalCoverModel,
-    are_isomorphic,
     arithmetic_genus,
-    components,
     genus as cover_genus,
-    nodal_isomorphism,
+    iter_isomorphisms,
     nodal_isomorphisms,
 )
 from .forward import construct
@@ -242,7 +240,7 @@ def match_glued(result: InverseResult, glued: GluedTower) -> CheckReport:
     """
     checks: list[CheckResult] = []
     try:
-        matched = nodal_isomorphism(result.trigonal_model, glued.trigonal_model) is not None
+        matched = next(nodal_isomorphisms(result.trigonal_model, glued.trigonal_model), None) is not None
         checks.append(
             CheckResult(
                 "trigonal-curves-match",
@@ -326,12 +324,12 @@ def roundtrip_etale(tetragonal: TetragonalCover) -> CheckReport:
         )
     )
     result = construct(tower)
-    parts = components(result.sections)
+    parts = result.sections.components
     checks.append(CheckResult("sections-split-in-two", len(parts) == 2, f"{len(parts)} components"))
     if len(parts) == 2:
         for which, part in zip(("first", "second"), parts):
             try:
-                rho = are_isomorphic(part.cover, tetragonal.cover)
+                rho = next(iter_isomorphisms(part.cover, tetragonal.cover), None)
                 checks.append(
                     CheckResult(
                         f"{which}-component-recovers-input",

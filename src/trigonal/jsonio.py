@@ -231,22 +231,6 @@ def point_to_ref(cover: BranchedCover, point: CoverPoint) -> list:
         ) from None
 
 
-def point_from_ref(cover: BranchedCover, ref: Sequence) -> CoverPoint:
-    if not isinstance(ref, (list, tuple)) or len(ref) != 2:
-        raise ValueError(f"fibre point ref {ref!r}: expected [label, cycle_index]")
-    label, index = ref
-    if not isinstance(label, str) or type(index) is not int:
-        raise ValueError(
-            f"fibre point ref {ref!r}: expected a string label and an integer cycle index"
-        )
-    cycles = label_cycles(cover, label)
-    if not 1 <= index <= len(cycles):
-        raise ValueError(
-            f"fibre point ref {ref!r}: cycle index {index} out of range over {label!r}"
-        )
-    return CoverPoint(label, cycles[index - 1])
-
-
 def nodes_to_list(model: NodalCoverModel) -> list:
     return [
         [point_to_ref(model.normalization, a), point_to_ref(model.normalization, b)]

@@ -11,16 +11,15 @@ The groups acting here are tiny (S3, S4, the 48-element block group in
 S6 and its image in S8), so the kernel is memoized on image tuples:
 ``compose`` on the pair ``(p.images, q.images)``, ``cycles`` on
 ``(images, include_fixed)``, ``is_identity`` and ``inverse`` on ``images``,
-``induced_action`` on ``(perm, points)`` (it gives the ``groups``
-columns their generator images and, on a miss of
-``covers._restriction``, a component's entries), ``orbits`` on the
-sorted distinct generator images and the degree, and
+``orbits`` on the sorted distinct generator images and the degree, and
 ``Permutation.identity`` on the degree.  Each memo is an ``lru_cache``
 bounded at ``MEMO_SIZE`` entries, and a call that raises is not stored.
 A result is still built through ``Permutation``, so validation runs on
 every cache miss; a hit returns the permutation validated when it was
 first built.  Images must be of type ``int``, so equal-but-not-int
-tuples such as ``(2.0, 1.0)`` never share an entry.
+tuples such as ``(2.0, 1.0)`` never share an entry.  ``induced_action``
+is not memoized: it runs only when a ``groups`` table is built and on
+a miss of ``covers._restriction``, and both of those results are kept.
 """
 from __future__ import annotations
 
@@ -180,16 +179,12 @@ def conjugate(p: Permutation, rho: Permutation) -> Permutation:
     return compose(compose(rho.inverse(), p), rho)
 
 
-@functools.lru_cache(maxsize=MEMO_SIZE)
 def induced_action(perm: Permutation, points: tuple[tuple[int, ...], ...]) -> Permutation:
     """The permutation ``perm`` induces on ``points``, an ordered tuple of
     sheet sets numbered from 1.
 
     Raises ``ValueError`` when a point names a sheet outside
     ``1..perm.degree`` or when its image is not one of the points.
-    Memoized: every group acting in this package has at most 48
-    elements and acts on a few fixed point tuples, and calls that raise
-    are not stored, so the memo stays small.
     """
     index = {frozenset(point): i for i, point in enumerate(points, start=1)}
     images = []

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import HealthCheck, assume, settings
 from hypothesis import strategies as st
 
-from trigonal import BlockSystem, BranchedCover, Permutation, conjugate, product
+from trigonal import BlockSystem, BranchedCover, Permutation, conjugate, induced_action, product
 
 settings.register_profile(
     "suite",
@@ -17,6 +17,17 @@ settings.register_profile(
 settings.load_profile("suite")
 
 FIXTURES = Path(__file__).parent / "fixtures"
+
+
+def induced_cover(cover, points):
+    """The cover induced on ``points``, sheet sets numbered from 1, with
+    trivially acting labels dropped: built entry by entry through
+    ``induced_action`` and checked by ``BranchedCover``, an oracle for
+    the derived covers and components."""
+    entries = [(label, induced_action(perm, points)) for label, perm in cover.entries()]
+    return BranchedCover.from_pairs(
+        len(points), [(label, action) for label, action in entries if not action.is_identity()]
+    )
 
 
 @pytest.fixture(scope="session")

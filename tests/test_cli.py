@@ -51,6 +51,20 @@ def test_construct_writes_result_and_reports(tmp_path, capsys):
     assert written == (FIXTURES / "forward_special_g3.json").read_text()
 
 
+@pytest.mark.parametrize("fmt, report_start", [("json", "{"), ("md", "# ")], ids=["json", "md"])
+def test_construct_to_stdout_writes_only_the_result(tmp_path, capsys, fmt, report_start):
+    tower = str(FIXTURES / "tower_special_g3.json")
+    out = tmp_path / "result.json"
+    assert run(capsys, "construct", "--in", tower, "--out", str(out))[0] == 0
+    code, stdout, err = run(capsys, "construct", "--in", tower, "--out", "-", "--format", fmt)
+    assert code == 0
+    json.loads(stdout)  # one document, no report after it
+    assert stdout == out.read_text()
+    elapsed, report = err.split("\n", 1)
+    assert elapsed.startswith("elapsed: ") and report.startswith(report_start)
+    assert ("overall: PASS" in report) if fmt == "md" else json.loads(report)["passed"]
+
+
 def test_invert_then_validate_chain(tmp_path, capsys):
     inv = tmp_path / "inverse.json"
     tower = tmp_path / "tower.json"

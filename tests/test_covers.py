@@ -12,17 +12,13 @@ from trigonal import (
     CoverPoint,
     NodalCoverModel,
     Permutation,
-    are_isomorphic,
     arithmetic_genus,
-    components,
     conjugate,
-    fiber_points,
     genus,
-    induced_cover,
+    iter_isomorphisms,
     label_cycles,
-    nodal_isomorphism,
+    nodal_isomorphisms,
 )
-from trigonal.covers import iter_isomorphisms, nodal_isomorphisms, point_on
 from trigonal.jsonio import cover_from_dict
 
 from conftest import disconnected_covers, permutations, product_one_tuples, transitive_covers
@@ -55,11 +51,11 @@ def test_cached_orbits_leave_equality_and_hashing_alone():
     assert not first.is_connected()
     assert "orbits" not in vars(second)
     assert first == second and hash(first) == hash(second)
-    assert [c.sheets for c in components(first)] == [(1, 2), (3, 4)]
+    assert [c.sheets for c in first.components] == [(1, 2), (3, 4)]
     assert first.perm_at("a") is flip
     # with every cache filled on one side only, == and hash still agree
     assert first == second and hash(first) == hash(second)
-    assert components(first) is components(first)
+    assert first.components is first.components
 
 
 def test_orbits_cache_takes_no_shared_lock():
@@ -71,7 +67,7 @@ def test_orbits_cache_takes_no_shared_lock():
     first, second = BranchedCover.from_pairs(4, entries), BranchedCover.from_pairs(4, entries)
     cached = ("orbits", "components", "_by_label")
     assert not set(cached) & set(vars(first))
-    first.orbits, components(first), first.perm_at("a")
+    first.orbits, first.components, first.perm_at("a")
     assert set(cached) <= set(vars(first))
     assert not set(cached) & set(vars(second))
 
@@ -145,7 +141,7 @@ def test_components_split_and_restrict():
     cover = BranchedCover.from_pairs(
         4, [("a", flip), ("b", other), ("c", other), ("d", flip)]
     )
-    parts = components(cover)
+    parts = cover.components
     assert [part.sheets for part in parts] == [(1, 2), (3, 4)]
     first = parts[0].cover
     assert first.degree == 2 and set(first.labels) == {"a", "b", "c", "d"}
@@ -154,19 +150,6 @@ def test_components_split_and_restrict():
     assert set(second.labels) == {"a", "d"}
     assert genus(second) == 0
     assert parts[1].to_parent(1) == 3 and parts[1].from_parent(4) == 2
-
-
-def test_induced_cover_numbers_points_and_drops_trivial_labels():
-    swap = Permutation((3, 4, 1, 2))
-    inner = Permutation((2, 1, 3, 4))
-    cover = BranchedCover.from_pairs(
-        4, [("a", swap), ("b", inner), ("c", inner), ("d", swap)]
-    )
-    pairs = induced_cover(cover, ((1, 2), (3, 4)))
-    assert pairs.degree == 2 and pairs.labels == ("a", "d")
-    assert pairs.monodromy == (Permutation((2, 1)), Permutation((2, 1)))
-    with pytest.raises(ValueError, match=r"monodromy at 'b': point \(1, 3\) maps to \(2, 3\)"):
-        induced_cover(cover, ((1, 3), (2, 4)))
 
 
 def test_cover_points_canonicalize_rotation():
@@ -188,10 +171,6 @@ def test_label_cycles_and_fiber_points():
     )
     assert label_cycles(cover, "a") == ((1, 2), (3,))
     assert label_cycles(cover, "zz") == ((1,), (2,), (3,))
-    assert fiber_points(cover, "a") == (CoverPoint("a", (1, 2)), CoverPoint("a", (3,)))
-    assert point_on(cover, "a", (3,)) == CoverPoint("a", (3,))
-    with pytest.raises(ValueError):
-        point_on(cover, "a", (1, 3))
 
 
 def test_arithmetic_genus_counts_nodes_and_components():
@@ -200,12 +179,12 @@ def test_arithmetic_genus_counts_nodes_and_components():
     cover = BranchedCover.from_pairs(
         4, [("a", flip), ("b", other), ("c", other), ("d", flip)]
     )
-    parts = components(cover)
+    parts = cover.components
     assert [genus(part.cover) for part in parts] == [1, 0]
     # genus-1 and genus-0 components glued at two points: p_a = 1 + 0 + 2 - 2 + 1
     nodes = (
-        (point_on(cover, "a", (1, 2)), point_on(cover, "a", (3, 4))),
-        (point_on(cover, "d", (1, 2)), point_on(cover, "d", (3, 4))),
+        (CoverPoint("a", (1, 2)), CoverPoint("a", (3, 4))),
+        (CoverPoint("d", (1, 2)), CoverPoint("d", (3, 4))),
     )
     model = NodalCoverModel(cover, nodes)
     assert arithmetic_genus(model) == 2
@@ -215,9 +194,9 @@ def test_arithmetic_genus_counts_nodes_and_components():
 
 def test_nodal_model_rejects_reused_points():
     cover = two_sheet_cover(4)
-    p = point_on(cover, "w0", (1, 2))
-    q = point_on(cover, "w1", (1, 2))
-    r = point_on(cover, "w2", (1, 2))
+    p = CoverPoint("w0", (1, 2))
+    q = CoverPoint("w1", (1, 2))
+    r = CoverPoint("w2", (1, 2))
     with pytest.raises(ValueError):
         NodalCoverModel(cover, ((p, p),))
     with pytest.raises(ValueError):
@@ -239,7 +218,7 @@ def test_conjugate_covers_are_isomorphic(cover, rho):
         cover.degree,
         [(label, conjugate(perm, rho)) for label, perm in zip(cover.labels, cover.monodromy)],
     )
-    iso = are_isomorphic(cover, twisted)
+    iso = next(iter_isomorphisms(cover, twisted), None)
     assert iso is not None
     for label in cover.labels:
         assert conjugate(cover.perm_at(label), iso) == twisted.perm_at(label)
@@ -250,7 +229,7 @@ def test_isomorphism_requires_matching_labels():
     flip = Permutation((2, 1))
     b = BranchedCover.from_pairs(2, [("x", flip), ("y", flip)])
     with pytest.raises(ValueError):
-        are_isomorphic(a, b)
+        next(iter_isomorphisms(a, b), None)
 
 
 def test_isomorphism_distinguishes_cycle_structure():
@@ -259,9 +238,9 @@ def test_isomorphism_distinguishes_cycle_structure():
     t23 = Permutation.from_cycles(3, [(2, 3)])
     a = BranchedCover.from_pairs(3, [("u", t12), ("v", t12), ("w", t13), ("x", t13)])
     b = BranchedCover.from_pairs(3, [("u", t12), ("v", t23), ("w", t23), ("x", t12)])
-    assert are_isomorphic(a, a) is not None
+    assert next(iter_isomorphisms(a, a), None) is not None
     # same labelwise profiles, but no single conjugation aligns all four
-    assert are_isomorphic(a, b) is None
+    assert next(iter_isomorphisms(a, b), None) is None
 
 
 def test_nodal_isomorphism_must_respect_nodes():
@@ -270,14 +249,14 @@ def test_nodal_isomorphism_must_respect_nodes():
     cover = BranchedCover.from_pairs(
         4, [("a", flip), ("b", other), ("c", other), ("d", flip)]
     )
-    nodes = ((point_on(cover, "b", (3,)), point_on(cover, "b", (4,))),)
+    nodes = ((CoverPoint("b", (3,)), CoverPoint("b", (4,))),)
     model = NodalCoverModel(cover, nodes)
-    same = nodal_isomorphism(model, model)
+    same = next(nodal_isomorphisms(model, model), None)
     assert same is not None
     shifted = NodalCoverModel(
-        cover, ((point_on(cover, "c", (3,)), point_on(cover, "c", (4,))),)
+        cover, ((CoverPoint("c", (3,)), CoverPoint("c", (4,))),)
     )
-    assert nodal_isomorphism(model, shifted) is None
+    assert next(nodal_isomorphisms(model, shifted), None) is None
 
 
 def test_isomorphism_search_leaves_no_cyclic_garbage(fixture_doc):
@@ -285,7 +264,7 @@ def test_isomorphism_search_leaves_no_cyclic_garbage(fixture_doc):
     gc.collect()
     gc.disable()
     try:
-        assert are_isomorphic(cover, cover) is not None
+        assert next(iter_isomorphisms(cover, cover), None) is not None
         assert gc.collect() == 0
     finally:
         gc.enable()
@@ -328,7 +307,8 @@ def _node_markers(draw, cover):
     ``q``, no fibre point in two."""
     nodes, used = [], set()
     for label in draw(st.lists(st.sampled_from(cover.labels + ("q",)), max_size=3)):
-        free = [p for p in fiber_points(cover, label) if p not in used]
+        points = (CoverPoint(label, cycle) for cycle in label_cycles(cover, label))
+        free = [p for p in points if p not in used]
         if len(free) >= 2:
             pair = tuple(draw(st.lists(st.sampled_from(free), min_size=2, max_size=2, unique=True)))
             used.update(pair)

@@ -11,7 +11,6 @@ from trigonal import (
     TetragonalCover,
     arithmetic_genus,
     component_tetragonal,
-    components,
     compose,
     conjugate,
     construct,
@@ -140,7 +139,7 @@ def test_general_fixture_numbers():
 
 def test_special_fixture_numbers():
     result = construct(SPECIAL)
-    parts = components(result.sections)
+    parts = result.sections.components
     assert len(parts) == 2
     assert [genus(p.cover) for p in parts] == [3, 3]
     assert [p.cover.total_ramification() for p in parts] == [12, 12]  # 2g+6
@@ -164,7 +163,7 @@ def test_special_nodes_are_swapped_by_the_involution():
 
 def test_etale_fixture_numbers():
     result = construct(ETALE)
-    parts = components(result.sections)
+    parts = result.sections.components
     assert len(parts) == 2
     assert [genus(p.cover) for p in parts] == [2, 2]  # g-1
     assert result.nodes is None

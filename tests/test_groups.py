@@ -16,10 +16,8 @@ from trigonal import (
     TowerValidationError,
     block_action,
     classify_fiber,
-    components,
     compose,
     construct,
-    induced_cover,
     invert,
     pairs_action,
     partition_action,
@@ -64,7 +62,16 @@ from trigonal.jsonio import (
 )
 from trigonal.sampling import SAMPLE_M0, SampleConfig
 
-from conftest import BLOCK_SYSTEMS, CANONICAL_BLOCKS, FIXTURES, S4, S6, block_group, product_one_tuples
+from conftest import (
+    BLOCK_SYSTEMS,
+    CANONICAL_BLOCKS,
+    FIXTURES,
+    S4,
+    S6,
+    block_group,
+    induced_cover,
+    product_one_tuples,
+)
 
 
 def _images(entry, degree):
@@ -197,11 +204,11 @@ def _same(derived, reference):
 
 
 def _check_components(cover):
-    parts = components(cover)
+    parts = cover.components
     assert tuple(p.sheets for p in parts) == cover.orbits
     for part in parts:
         _same(part.cover, induced_cover(cover, tuple((s,) for s in part.sheets)))
-    assert components(cover) is parts
+    assert cover.components is parts
 
 
 @pytest.mark.parametrize(

@@ -21,7 +21,7 @@ from trigonal import (
     sample_tower,
     spread_configs,
 )
-from trigonal.covers import CoverPoint, point_on
+from trigonal.covers import CoverPoint
 from trigonal.jsonio import (
     batch_report_to_dict,
     check_report_to_dict,
@@ -31,7 +31,6 @@ from trigonal.jsonio import (
     forward_result_to_dict,
     inverse_result_to_dict,
     load_schema,
-    point_from_ref,
     point_to_ref,
     tetragonal_from_dict,
     tower_from_dict,
@@ -118,39 +117,6 @@ def test_cover_parser_rejects_malformed_documents():
         cover_from_dict({"degree": "six", "branch_points": []})
     with pytest.raises(ValueError):
         tower_from_dict({"degree": 6, "branch_points": []})  # no blocks
-
-
-def test_point_refs_roundtrip_including_unramified_labels(fixture_doc):
-    special = tower_from_dict(fixture_doc("tower_special_g3.json"))
-    cover = special.cover
-    point = point_on(cover, "h01", (1, 3))
-    ref = point_to_ref(cover, point)
-    assert point_from_ref(cover, ref) == point
-    # a label the cover is not branched over still addresses singletons
-    ghost = point_from_ref(cover, ["h01", 3])
-    assert ghost.cycle in ((2, 4), (5,), (6,))
-    with pytest.raises(ValueError):
-        point_from_ref(cover, ["h01", 99])
-
-
-@pytest.mark.parametrize(
-    "ref",
-    [
-        ["h01", "2"],
-        ["h01", True],
-        ["h01", 2.0],
-        ["h01"],
-        ["h01", 2, 3],
-        [5, 1],
-        "h01",
-        None,
-    ],
-)
-def test_malformed_point_refs_raise_value_errors_naming_the_ref(fixture_doc, ref):
-    cover = tower_from_dict(fixture_doc("tower_special_g3.json")).cover
-    with pytest.raises(ValueError, match="fibre point ref") as err:
-        point_from_ref(cover, ref)
-    assert repr(ref) in str(err.value)
 
 
 @pytest.mark.parametrize("label, cycle", [("h01", (1, 2)), ("h01", (1, 3, 5)), ("h02", (7,))])

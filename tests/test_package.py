@@ -1,8 +1,10 @@
 """The package's export list and its modules' imports."""
 import ast
 import os
+import re
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import pytest
@@ -20,6 +22,56 @@ def test_every_exported_name_resolves_once():
     assert len(trigonal.__all__) == len(set(trigonal.__all__))
     missing = [name for name in trigonal.__all__ if not hasattr(trigonal, name)]
     assert missing == []
+
+
+def test_every_public_name_bound_in_the_package_is_exported():
+    bound = [
+        name
+        for name, value in vars(trigonal).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    ]
+    assert sorted(set(bound) - set(trigonal.__all__)) == []
+
+
+def _dead_names(sources: dict[str, str], kept: set[str], readme: str) -> list[str]:
+    """Module-level functions and classes in ``sources`` (module name ->
+    source) that no top-level statement other than their own definition
+    loads, as a name or an attribute, that ``kept`` does not hold and
+    ``readme`` does not name.  Matched by name, across all modules."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    loads = {}  # top-level statement -> the names it loads
+    for tree in trees.values():
+        for statement in tree.body:
+            loads[statement] = {
+                node.id if isinstance(node, ast.Name) else node.attr
+                for node in ast.walk(statement)
+                if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)
+            }
+    dead = []
+    for module, tree in trees.items():
+        for definition in tree.body:
+            if not isinstance(definition, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                continue
+            name = definition.name
+            if name in kept or re.search(rf"\b{re.escape(name)}\b", readme):
+                continue
+            if not any(name in names for statement, names in loads.items() if statement is not definition):
+                dead.append(f"{module}.{name}")
+    return dead
+
+
+def test_every_function_and_class_has_a_caller_an_export_or_a_readme_mention():
+    sources = {path.stem: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
+    readme = (ROOT / "README.md").read_text()
+    assert _dead_names(sources, set(trigonal.__all__), readme) == []
+
+
+def test_the_dead_name_check_counts_loads_exports_and_readme_mentions():
+    sources = {
+        "a": "def used(): pass\ndef alone(): return alone()\nclass Kept: pass\ndef named(): pass\n",
+        "b": "import a\nx = a.used\n",
+    }
+    assert _dead_names(sources, {"Kept"}, "see `named`") == ["a.alone"]
 
 
 def _unused_imports(source: str) -> list[str]:
