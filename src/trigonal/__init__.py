@@ -3,6 +3,8 @@ trigonal construction: degree-six towers with a block pairing on one
 side, tetragonal covers with marked nodes on the other, with the
 sections curve and its involution mediating between them."""
 
+from types import ModuleType as _ModuleType
+
 from .covers import (
     BranchedCover,
     Component,
@@ -66,69 +68,9 @@ from .report import CheckReport, CheckResult
 from .sampling import SampleConfig, SplitMix64, derive_seed, sample_tetragonal, sample_tower
 from .batch import BatchReport, InstanceResult, SUITES, run_batch, spread_configs
 
+# the public names are the ones the imports above bind
 __all__ = [
-    "BranchedCover",
-    "Component",
-    "CoverPoint",
-    "NodalCoverModel",
-    "arithmetic_genus",
-    "genus",
-    "iter_isomorphisms",
-    "label_cycles",
-    "nodal_isomorphisms",
-    "Permutation",
-    "compose",
-    "conjugate",
-    "induced_action",
-    "orbits",
-    "product",
-    "ETALE",
-    "GENERAL",
-    "SPECIAL",
-    "BlockSystem",
-    "Tower",
-    "TowerValidationError",
-    "block_action",
-    "flip_points",
-    "validate_tower",
-    "ForwardResult",
-    "NodeMarkers",
-    "component_tetragonal",
-    "construct",
-    "sections_action",
-    "verify_predictions",
-    "PAIRS",
-    "STRATUM_M0",
-    "STRATUM_M1",
-    "STRATUM_M2",
-    "STRATUM_OTHER",
-    "GluedTower",
-    "InverseResult",
-    "TetragonalCover",
-    "classify_fiber",
-    "expected_inverse",
-    "invert",
-    "match_glued",
-    "pairs_action",
-    "partition_action",
-    "roundtrip",
-    "roundtrip_etale",
-    "ChainRow",
-    "chain_report",
-    "chain_with_power_factor",
-    "coefficient_chain",
-    "gen_binomial",
-    "reduced_identity",
-    "CheckReport",
-    "CheckResult",
-    "SampleConfig",
-    "SplitMix64",
-    "derive_seed",
-    "sample_tetragonal",
-    "sample_tower",
-    "BatchReport",
-    "InstanceResult",
-    "SUITES",
-    "run_batch",
-    "spread_configs",
+    name
+    for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
 ]

@@ -139,7 +139,7 @@ def _cmd_construct(args) -> int:
     if args.out == "-":  # stdout carries the result document
         with contextlib.redirect_stdout(sys.stderr):
             return _emit_report(report, args.format, "-")
-    return _emit_report(report, args.format, None if args.out else "-")
+    return _emit_report(report, args.format, None)
 
 
 def _cmd_invert(args) -> int:

@@ -43,7 +43,8 @@ counts (the involution acts freely over a label exactly when the first
 is twice the second) and its flip pattern.  Products and every column
 but the flips are built once, over ``CANONICAL_BLOCKS``, and shared by
 every block system's table.  Tables are built on first use, never at
-import, and add nothing to the kernel's composition memos.
+import, by ``lru_cache`` builders like the kernel memos, so a table is
+stored once complete; they add nothing to the kernel's composition memos.
 
 ``derive`` emits a cover's derived covers in one pass over its entries,
 through ``BranchedCover._derived``, which skips the cover checks: for a
@@ -60,7 +61,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 from .covers import BranchedCover
-from .permutation import Permutation, induced_action
+from .permutation import MEMO_SIZE, Permutation, induced_action
 
 
 @dataclass(frozen=True)
@@ -213,8 +214,6 @@ class GroupTable:
         return tuple(perms.get(column[x]) for x in range(len(column)))
 
 
-_TABLES: dict[int | BlockSystem, GroupTable] = {}
-
 FIBER_SIMPLE = 2
 FIBER_TRIPLE = 3
 FIBER_DOUBLE_DOUBLE = 4
@@ -232,23 +231,22 @@ _TYPE_BY_CYCLES = {
 PAIR_IMAGE, PARTITION_IMAGE, FIBER_TYPE = range(3)
 
 
+@functools.lru_cache(maxsize=MEMO_SIZE)
 def symmetric_table(degree: int) -> GroupTable:
     """The table of the symmetric group of ``degree``, elements in
     lexicographic order of their image tuples; built on first use.  S4's
     table carries its columns."""
-    table = _TABLES.get(degree)
-    if table is None:
-        sheets = range(1, degree + 1)
-        # generated by (1 2) and (1 2 ... degree)
-        generators = ((2, 1, *sheets[2:]), (*sheets[1:], 1))
-        table = _TABLES[degree] = GroupTable(itertools.permutations(sheets), generators)
-        if degree == 4:
-            table.columns = (
-                table.homomorphism(pairs_action),
-                table.homomorphism(partition_action),
-                tuple(_TYPE_BY_CYCLES[p.cycle_type()] for p in table.elements),
-            )
-            table.degrees = (len(PAIRS), 3)
+    sheets = range(1, degree + 1)
+    # generated by (1 2) and (1 2 ... degree)
+    generators = ((2, 1, *sheets[2:]), (*sheets[1:], 1))
+    table = GroupTable(itertools.permutations(sheets), generators)
+    if degree == 4:
+        table.columns = (
+            table.homomorphism(pairs_action),
+            table.homomorphism(partition_action),
+            tuple(_TYPE_BY_CYCLES[p.cycle_type()] for p in table.elements),
+        )
+        table.degrees = (len(PAIRS), 3)
     return table
 
 
@@ -257,6 +255,7 @@ def symmetric_table(degree: int) -> GroupTable:
 BLOCK, SECTIONS, QUOTIENT, ORIENTATION, CYCLE_COUNTS, FLIPS = range(6)
 
 
+@functools.lru_cache(maxsize=MEMO_SIZE)
 def block_table(blocks: BlockSystem) -> GroupTable:
     """The table of the block group of ``blocks``; built on first use.
 
@@ -268,44 +267,41 @@ def block_table(blocks: BlockSystem) -> GroupTable:
     (1 3)(2 4), the block 3-cycle (1 3 5)(2 4 6) and the flip (1 2);
     every other table is the canonical one relabelled.
     """
-    table = _TABLES.get(blocks)
-    if table is None:
-        if blocks == CANONICAL_BLOCKS:
-            # sheet s + 1 lies in block s // 2 at position s % 2, and goes
-            # to the other position in its image block if that block's bit
-            # of v is set
-            table = GroupTable(
-                (
-                    tuple(2 * a[s // 2] + (s % 2 ^ (v >> (2 - s // 2)) & 1) + 1 for s in range(6))
-                    for a in itertools.permutations(range(3))
-                    for v in range(8)
-                ),
-                ((3, 4, 1, 2, 5, 6), (3, 4, 5, 6, 1, 2), (2, 1, 3, 4, 5, 6)),
-            )
-            sections = functools.partial(sections_action, blocks=CANONICAL_BLOCKS)
-            columns = (
-                table.homomorphism(functools.partial(block_action, blocks=CANONICAL_BLOCKS)),
-                table.homomorphism(sections),
-                table.homomorphism(lambda p: quotient_action(sections(p))),
-                table.homomorphism(lambda p: orientation_action(sections(p))),
-            )
-            counts = tuple(
-                (_cycle_count(s, SECTION_COUNT), _cycle_count(q, 4))
-                for s, q in zip(columns[SECTIONS], columns[QUOTIENT])
-            )
-            table.columns, table.degrees = columns + (counts,), (3, SECTION_COUNT, 4, 2)
-        else:
-            # conjugate by the sheet relabelling carrying CANONICAL_BLOCKS
-            # onto ``blocks``: own elements and index, shared products
-            sheets = dict(zip(itertools.chain(*CANONICAL_BLOCKS), itertools.chain(*blocks)))
-            order = sorted(sheets, key=sheets.get)
-            table = copy.copy(block_table(CANONICAL_BLOCKS))
-            table.elements = tuple(
-                Permutation(tuple(sheets[p(s)] for s in order)) for p in table.elements
-            )
-            table.index = {p.images: i for i, p in enumerate(table.elements)}
-        table.columns = table.columns[:FLIPS] + (_flips(table, blocks),)
-        _TABLES[blocks] = table
+    if blocks == CANONICAL_BLOCKS:
+        # sheet s + 1 lies in block s // 2 at position s % 2, and goes
+        # to the other position in its image block if that block's bit
+        # of v is set
+        table = GroupTable(
+            (
+                tuple(2 * a[s // 2] + (s % 2 ^ (v >> (2 - s // 2)) & 1) + 1 for s in range(6))
+                for a in itertools.permutations(range(3))
+                for v in range(8)
+            ),
+            ((3, 4, 1, 2, 5, 6), (3, 4, 5, 6, 1, 2), (2, 1, 3, 4, 5, 6)),
+        )
+        sections = functools.partial(sections_action, blocks=CANONICAL_BLOCKS)
+        columns = (
+            table.homomorphism(functools.partial(block_action, blocks=CANONICAL_BLOCKS)),
+            table.homomorphism(sections),
+            table.homomorphism(lambda p: quotient_action(sections(p))),
+            table.homomorphism(lambda p: orientation_action(sections(p))),
+        )
+        counts = tuple(
+            (_cycle_count(s, SECTION_COUNT), _cycle_count(q, 4))
+            for s, q in zip(columns[SECTIONS], columns[QUOTIENT])
+        )
+        table.columns, table.degrees = columns + (counts,), (3, SECTION_COUNT, 4, 2)
+    else:
+        # conjugate by the sheet relabelling carrying CANONICAL_BLOCKS
+        # onto ``blocks``: own elements and index, shared products
+        sheets = dict(zip(itertools.chain(*CANONICAL_BLOCKS), itertools.chain(*blocks)))
+        order = sorted(sheets, key=sheets.get)
+        table = copy.copy(block_table(CANONICAL_BLOCKS))
+        table.elements = tuple(
+            Permutation(tuple(sheets[p(s)] for s in order)) for p in table.elements
+        )
+        table.index = {p.images: i for i, p in enumerate(table.elements)}
+    table.columns = table.columns[:FLIPS] + (_flips(table, blocks),)
     return table
 
 

@@ -10,16 +10,18 @@ the identity".
 The groups acting here are tiny (S3, S4, the 48-element block group in
 S6 and its image in S8), so the kernel is memoized on image tuples:
 ``compose`` on the pair ``(p.images, q.images)``, ``cycles`` on
-``(images, include_fixed)``, ``is_identity`` and ``inverse`` on ``images``,
-``orbits`` on the sorted distinct generator images and the degree, and
-``Permutation.identity`` on the degree.  Each memo is an ``lru_cache``
-bounded at ``MEMO_SIZE`` entries, and a call that raises is not stored.
-A result is still built through ``Permutation``, so validation runs on
-every cache miss; a hit returns the permutation validated when it was
-first built.  Images must be of type ``int``, so equal-but-not-int
-tuples such as ``(2.0, 1.0)`` never share an entry.  ``induced_action``
-is not memoized: it runs only when a ``groups`` table is built and on
-a miss of ``covers._restriction``, and both of those results are kept.
+``(images, include_fixed)``, ``inverse`` on ``images``, ``orbits`` on
+the sorted distinct generator images and the degree, and
+``Permutation.identity`` on the degree.  ``is_identity`` is not
+memoized: it compares ``images`` with those of the shared identity of
+its degree.  Each memo is an ``lru_cache`` bounded at ``MEMO_SIZE``
+entries, and a call that raises is not stored.  A result is still built
+through ``Permutation``, so validation runs on every cache miss; a hit
+returns the permutation validated when it was first built.  Images must
+be of type ``int``, so equal-but-not-int tuples such as ``(2.0, 1.0)``
+never share an entry.  ``induced_action`` is not memoized: it runs only
+when a ``groups`` table is built and on a miss of
+``covers._restriction``, and both of those results are kept.
 """
 from __future__ import annotations
 
@@ -81,7 +83,7 @@ class Permutation:
         return self.images[sheet - 1]
 
     def is_identity(self) -> bool:
-        return _is_identity(self.images)
+        return self.images == _identity(len(self.images)).images
 
     def inverse(self) -> "Permutation":
         return _inverse(self.images)
@@ -124,11 +126,6 @@ def _inverse(images: tuple[int, ...]) -> Permutation:
     for i, img in enumerate(images, start=1):
         inverse[img - 1] = i
     return Permutation(tuple(inverse))
-
-
-@functools.lru_cache(maxsize=MEMO_SIZE)
-def _is_identity(images: tuple[int, ...]) -> bool:
-    return all(img == i + 1 for i, img in enumerate(images))
 
 
 @functools.lru_cache(maxsize=MEMO_SIZE)

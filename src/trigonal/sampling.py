@@ -31,8 +31,8 @@ list is drawn in one loop (``_draw``) that keeps the running product,
 so the solved last entry is one table inverse.  Only a candidate that
 passes the etale test becomes ``Permutation`` objects, the tables'
 shared elements, and it is then checked in full by ``BranchedCover``
-and ``validate_tower``.  Tables and pools are built on first use,
-never at import.
+and ``validate_tower``.  Tables and pools are ``lru_cache`` builders,
+built on first use, never at import.
 """
 from __future__ import annotations
 
@@ -130,40 +130,33 @@ _DOUBLE_FLIPS = tuple(
 )
 
 # index pools, built on first use: by degree, the symmetric group's table
-# with the indices of its transpositions and 3-cycles; by
+# with the indices of its transpositions and 3-cycles; over
 # ``CANONICAL_BLOCKS``, the block group's table with each block action's
 # etale lifts and the indices of the single and double flips
-_POOLS: dict = {}
-
-
+@functools.lru_cache(maxsize=MEMO_SIZE)
 def _symmetric_pools(degree: int) -> tuple[GroupTable, list[int], list[int]]:
-    pools = _POOLS.get(degree)
-    if pools is None:
-        table = symmetric_table(degree)
-        # the elements that are one cycle, in the order of that cycle
-        # written from its least sheet
-        cycles = sorted((p.cycles(), x) for x, p in enumerate(table.elements) if len(p.cycles()) == 1)
-        pools = _POOLS[degree] = (
-            table,
-            [x for (cycle,), x in cycles if len(cycle) == 2],
-            [x for (cycle,), x in cycles if len(cycle) == 3],
-        )
-    return pools
+    table = symmetric_table(degree)
+    # the elements that are one cycle, in the order of that cycle
+    # written from its least sheet
+    cycles = sorted((p.cycles(), x) for x, p in enumerate(table.elements) if len(p.cycles()) == 1)
+    return (
+        table,
+        [x for (cycle,), x in cycles if len(cycle) == 2],
+        [x for (cycle,), x in cycles if len(cycle) == 3],
+    )
 
 
+@functools.lru_cache(maxsize=MEMO_SIZE)
 def _lift_pools() -> tuple:
-    pools = _POOLS.get(CANONICAL_BLOCKS)
-    if pools is None:
-        table = block_table(CANONICAL_BLOCKS)
-        flips = table.columns[FLIPS]
-        pools = _POOLS[CANONICAL_BLOCKS] = (
-            table,
-            # S3 element a's lifts are 8a..8a+7 in lift-vector order
-            tuple(tuple(x for x in range(8 * a, 8 * a + 8) if not flips[x]) for a in range(6)),
-            table.indices(_SINGLE_FLIPS),
-            table.indices(_DOUBLE_FLIPS),
-        )
-    return pools
+    table = block_table(CANONICAL_BLOCKS)
+    flips = table.columns[FLIPS]
+    return (
+        table,
+        # S3 element a's lifts are 8a..8a+7 in lift-vector order
+        tuple(tuple(x for x in range(8 * a, 8 * a + 8) if not flips[x]) for a in range(6)),
+        table.indices(_SINGLE_FLIPS),
+        table.indices(_DOUBLE_FLIPS),
+    )
 
 
 def _draw(

@@ -103,14 +103,20 @@ def test_the_unused_import_check_sees_plain_from_and_aliased_imports():
 
 
 def test_a_fresh_import_builds_no_group_table_and_no_row():
-    # tables with their columns, and the samplers' index pools, are
-    # built on first use, so importing the package and its CLI pays for
-    # none of them
+    # tables with their columns, the samplers' index pools and the
+    # kernel memos are all lru_cache builders filled on first use, so
+    # importing the package and its CLI leaves every cache empty
     code = (
+        "import functools, importlib, pkgutil\n"
         "import trigonal, trigonal.cli\n"
-        "from trigonal import groups, sampling\n"
-        "print(len(groups._TABLES), len(sampling._POOLS))\n"
+        "for info in pkgutil.iter_modules(trigonal.__path__):\n"
+        "    module = importlib.import_module(f'trigonal.{info.name}')\n"
+        "    for name, value in vars(module).items():\n"
+        "        if isinstance(value, functools._lru_cache_wrapper) and value.__module__ == module.__name__:\n"
+        "            print(f'{module.__name__}.{name}', value.cache_info().currsize)\n"
     )
     env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.split() == ["0", "0"]
+    sizes = dict(line.split() for line in out.stdout.splitlines())
+    assert "trigonal.groups.block_table" in sizes and "trigonal.sampling._lift_pools" in sizes
+    assert {name: size for name, size in sizes.items() if size != "0"} == {}

@@ -25,7 +25,6 @@ from trigonal.permutation import (
     _cycles,
     _identity,
     _inverse,
-    _is_identity,
     _orbits,
 )
 
@@ -167,12 +166,15 @@ MEMOS = (
     _cycles,
     _identity,
     _inverse,
-    _is_identity,
     _orbits,
     covers._ramification,
     covers._restriction,
     forward._square_breaks,
+    groups.block_table,
+    groups.symmetric_table,
     sampling._labels,
+    sampling._lift_pools,
+    sampling._symmetric_pools,
 )
 S6 = tuple(map(Permutation, itertools.permutations(range(1, 7))))
 
@@ -316,6 +318,9 @@ def test_memos_stay_far_below_their_bound_over_the_five_suites():
         assert info.maxsize == MEMO_SIZE
         assert 0 < info.currsize <= MEMO_SIZE // 4, (memo.__name__, info)
     # the tables' columns are bounded by the group orders instead
-    for key, order in ((CANONICAL_BLOCKS, 48), (groups.PARTITION_BLOCKS, 48), (4, 24)):
-        columns = groups._TABLES[key].columns
-        assert columns and all(len(column) == order for column in columns), key
+    for table, order in (
+        (groups.block_table(CANONICAL_BLOCKS), 48),
+        (groups.block_table(groups.PARTITION_BLOCKS), 48),
+        (groups.symmetric_table(4), 24),
+    ):
+        assert table.columns and all(len(column) == order for column in table.columns), order
