@@ -16,6 +16,16 @@ are made of (dicts with ``str`` keys, lists, tuples, ``str``, ``int``,
 one, goes to ``json.dumps`` whole, so its bytes and errors stay the
 stdlib's.
 
+A document's monodromy is drawn from tiny groups, so a few dozen
+distinct cycle lists fill all of its labels.  Both directions pay once
+per distinct value: a list of int lists (monodromy, blocks) is rendered
+through one memo keyed on its value as a tuple of int tuples and its
+indent, and ``perm_from_cycles`` is a memo keyed on the degree and that
+same tuple.  The key is built only when every sheet's type is exactly
+``int``, since ``True == 1`` and both hash alike; any other list takes
+the uncached path.  Both memos are ``lru_cache``s bounded at
+``MEMO_SIZE`` entries, and a call that raises is not stored.
+
 Monodromy is written in cycle form, 1-based, fixed sheets unlisted.
 Fibre points are written as ``[label, cycle_index]`` where the index
 counts the cycles of the monodromy over that label (fixed sheets
@@ -25,21 +35,53 @@ over unbranched fibres serialize the same way.
 """
 from __future__ import annotations
 
+import functools
 import json
-from typing import Any, Callable, Mapping, Sequence
+from collections.abc import Callable, Mapping, Sequence
+from typing import Any, NoReturn
 
 from .batch import BatchReport
 from .coefficients import ChainRow
 from .covers import BranchedCover, CoverPoint, NodalCoverModel, label_cycles
 from .forward import ForwardResult
 from .inverse import InverseResult, TetragonalCover
-from .permutation import Permutation
+from .permutation import MEMO_SIZE, Permutation
 from .report import CheckReport
 from .towers import BlockSystem, Tower, TowerValidationError, validate_tower
 
 
 _escape = json.encoder.encode_basestring_ascii
 _int_str = int.__repr__
+
+
+def _int_lists(value: Sequence) -> tuple[tuple[int, ...], ...] | None:
+    """``value`` as a tuple of int tuples if its items are lists of exact
+    ``int``s, else None.  The memos keyed on it need the exact type:
+    ``(True, 2) == (1, 2)`` and both hash alike, so a bool, float or
+    IntEnum sheet must never reach them."""
+    key = []
+    for cycle in value:
+        if not isinstance(cycle, list):
+            return None
+        cycle = tuple(cycle)
+        for sheet in cycle:
+            if type(sheet) is not int:
+                return None
+        key.append(cycle)
+    return tuple(key)
+
+
+@functools.lru_cache(maxsize=MEMO_SIZE)
+def _int_lists_text(key: tuple[tuple[int, ...], ...], indent: str) -> str:
+    """``key`` rendered as ``_write`` renders a list of int lists at
+    ``indent``."""
+    inner = indent + "  "
+    deeper = inner + "  "
+    separator = "," + deeper
+    return "[" + inner + ("," + inner).join(
+        "[" + deeper + separator.join(map(_int_str, cycle)) + inner + "]" if cycle else "[]"
+        for cycle in key
+    ) + indent + "]"
 
 
 def _write(value: Any, out: Callable[[str], None], indent: str) -> None:
@@ -60,6 +102,11 @@ def _write(value: Any, out: Callable[[str], None], indent: str) -> None:
         if all(type(v) is int for v in value):
             # cycles and sheet maps: most of the bytes of every document
             out("[" + inner + separator.join(map(_int_str, value)) + indent + "]")
+            return
+        key = _int_lists(value)
+        if key is not None:
+            # monodromy and blocks: a document repeats a few dozen of them
+            out(_int_lists_text(key, indent))
             return
         head = "[" + inner
         for v in value:
@@ -108,8 +155,9 @@ def perm_to_cycles(perm: Permutation) -> list[list[int]]:
     return [list(c) for c in perm.cycles()]
 
 
-def perm_from_cycles(degree: int, cycles: Sequence[Sequence[int]]) -> Permutation:
-    return Permutation.from_cycles(degree, [tuple(c) for c in cycles])
+@functools.lru_cache(maxsize=MEMO_SIZE)
+def perm_from_cycles(degree: int, cycles: tuple[tuple[int, ...], ...]) -> Permutation:
+    return Permutation.from_cycles(degree, cycles)
 
 
 def cover_to_dict(cover: BranchedCover) -> dict:
@@ -124,6 +172,7 @@ def cover_to_dict(cover: BranchedCover) -> dict:
 
 _COVER_KEYS = ("degree", "branch_points")
 _POINT_KEYS = ("label", "monodromy")
+_POINT_KEY_SET = frozenset(_POINT_KEYS)
 
 
 def _refuse_unknown_keys(where: str, payload: Mapping, known: Sequence[str]) -> None:
@@ -131,7 +180,30 @@ def _refuse_unknown_keys(where: str, payload: Mapping, known: Sequence[str]) -> 
     # decoder would skip is a key its writer expects to mean something
     for key in payload:
         if key not in known:
-            raise ValueError(f"{where}: unknown key {json.dumps(key)}")
+            shown = json.dumps(key) if isinstance(key, str) else repr(key)
+            raise ValueError(f"{where}: unknown key {shown}")
+
+
+def _refuse_point(i: int, point: Any) -> NoReturn:
+    """Raise the error for ``branch_points[i]``, which ``cover_from_dict``
+    could not decode."""
+    where = f"branch_points[{i}]"
+    if not isinstance(point, Mapping):
+        raise ValueError(f"{where}: expected an object, got {point!r}")
+    for key in _POINT_KEYS:
+        if key not in point:
+            raise ValueError(f'{where}: missing "{key}"')
+    _refuse_unknown_keys(where, point, _POINT_KEYS)
+    label, cycles = point["label"], point["monodromy"]
+    if not isinstance(label, str):
+        raise ValueError(f"{where}.label: expected a string, got {label!r}")
+    if not label:
+        raise ValueError(f"{where}.label: expected a non-empty string")
+    if not isinstance(cycles, list) or _int_lists(cycles) is None:
+        raise ValueError(f"{where}.monodromy: expected lists of integer sheets, got {cycles!r}")
+    # fixed sheets are left unlisted, as the schemas require
+    cycle = next(c for c in cycles if len(c) < 2)
+    raise ValueError(f"{where}.monodromy: a cycle needs two or more sheets, got {cycle!r}")
 
 
 def cover_from_dict(payload: Mapping, keys: Sequence[str] = _COVER_KEYS) -> BranchedCover:
@@ -147,27 +219,19 @@ def cover_from_dict(payload: Mapping, keys: Sequence[str] = _COVER_KEYS) -> Bran
         raise ValueError(f"branch_points must be a list, got {points!r}")
     entries = []
     for i, point in enumerate(points):
-        where = f"branch_points[{i}]"
-        if not isinstance(point, Mapping):
-            raise ValueError(f"{where}: expected an object, got {point!r}")
-        for key in _POINT_KEYS:
-            if key not in point:
-                raise ValueError(f'{where}: missing "{key}"')
-        _refuse_unknown_keys(where, point, _POINT_KEYS)
+        # one pass of cheap checks; _refuse_point names what failed
+        if not isinstance(point, Mapping) or point.keys() != _POINT_KEY_SET:
+            _refuse_point(i, point)
         label, cycles = point["label"], point["monodromy"]
-        if not isinstance(label, str):
-            raise ValueError(f"{where}.label: expected a string, got {label!r}")
-        if not label:
-            raise ValueError(f"{where}.label: expected a non-empty string")
-        if not isinstance(cycles, list) or not all(
-            isinstance(c, list) and all(type(s) is int for s in c) for c in cycles
+        key = _int_lists(cycles) if isinstance(cycles, list) else None
+        if (
+            not isinstance(label, str)
+            or not label
+            or key is None
+            or min(map(len, key), default=2) < 2
         ):
-            raise ValueError(f"{where}.monodromy: expected lists of integer sheets, got {cycles!r}")
-        for cycle in cycles:
-            if len(cycle) < 2:
-                # fixed sheets are left unlisted, as the schemas require
-                raise ValueError(f"{where}.monodromy: a cycle needs two or more sheets, got {cycle!r}")
-        entries.append((label, perm_from_cycles(degree, cycles)))
+            _refuse_point(i, point)
+        entries.append((label, perm_from_cycles(degree, key)))
     return BranchedCover.from_pairs(degree, entries)
 
 

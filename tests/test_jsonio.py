@@ -18,10 +18,13 @@ from trigonal import (
     construct,
     invert,
     run_batch,
+    sample_tetragonal,
     sample_tower,
     spread_configs,
 )
+from trigonal import jsonio
 from trigonal.covers import CoverPoint
+from trigonal.sampling import SAMPLE_KINDS, SAMPLE_M0
 from trigonal.jsonio import (
     batch_report_to_dict,
     check_report_to_dict,
@@ -31,6 +34,7 @@ from trigonal.jsonio import (
     forward_result_to_dict,
     inverse_result_to_dict,
     load_schema,
+    perm_from_cycles,
     point_to_ref,
     tetragonal_from_dict,
     tower_from_dict,
@@ -117,6 +121,27 @@ def test_cover_parser_rejects_malformed_documents():
         cover_from_dict({"degree": "six", "branch_points": []})
     with pytest.raises(ValueError):
         tower_from_dict({"degree": 6, "branch_points": []})  # no blocks
+
+
+@pytest.mark.parametrize(
+    "key, shown",
+    [
+        (frozenset(), "frozenset()"),
+        ((1,), "(1,)"),
+        (1, "1"),
+        (None, "None"),
+        ("genus", '"genus"'),
+        ("\u00e9", '"\\u00e9"'),
+    ],
+)
+def test_unknown_keys_are_refused_by_repr_unless_they_are_strings(key, shown):
+    with pytest.raises(ValueError) as err:
+        cover_from_dict({"degree": 4, "branch_points": [], key: 1})
+    assert str(err.value) == f"document: unknown key {shown}"
+    point = {"label": "b1", "monodromy": [[1, 2]], key: 0}
+    with pytest.raises(ValueError) as err:
+        cover_from_dict({"degree": 4, "branch_points": [point]})
+    assert str(err.value) == f"branch_points[0]: unknown key {shown}"
 
 
 @pytest.mark.parametrize("label, cycle", [("h01", (1, 2)), ("h01", (1, 3, 5)), ("h02", (7,))])
@@ -256,3 +281,96 @@ def test_dumps_canonical_leaves_a_too_deep_payload_to_the_stdlib():
         deep = [deep]
     with pytest.raises(RecursionError):
         dumps_canonical(deep)
+
+
+# -- the cycles memos ---------------------------------------------------------
+
+def sampled_documents():
+    """The cover or tower document of a sampled instance of every kind."""
+    for mode in SAMPLE_KINDS:
+        for genus in (2, 3, 5) if mode == SAMPLE_M0 else (3, 4, 7):
+            cfg = SampleConfig(genus=genus, mode=mode, seed=genus)
+            if mode == SAMPLE_M0:
+                yield tetragonal_from_dict, cover_to_dict(sample_tetragonal(cfg).cover)
+            else:
+                yield tower_from_dict, tower_to_dict(sample_tower(cfg))
+
+
+def warm_memos():
+    """Store ``[[1, 2]]`` in both memos, as if a document had just used it;
+    the decoder's entry has the degree of the malformed documents below."""
+    dumps_canonical({"a": [[1, 2]], "b": [[[1, 2]]]})
+    points = [{"label": label, "monodromy": [[1, 2]]} for label in ("a", "b")]
+    cover_from_dict({"degree": 4, "branch_points": points})
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        pytest.param([[True, 2]], id="bool-sheet"),
+        pytest.param([[1.0, 2]], id="float-sheet"),
+        pytest.param([[Sheet.ONE, 2]], id="intenum-sheet"),
+        pytest.param([(1, 2)], id="tuple-cycle"),
+        pytest.param([[1, 2], []], id="empty-cycle"),
+        pytest.param({"a": [[1, 2]], "b": {"c": [[1, 2]]}}, id="two-depths"),
+        pytest.param([[[1, 2]], [[True, 2]]], id="nested-bool"),
+    ],
+)
+def test_a_warm_writer_memo_keeps_the_stdlib_bytes(payload):
+    warm_memos()
+    assert jsonio._int_lists_text.cache_info().currsize > 0
+    assert outcome(dumps_canonical, payload) == outcome(reference_dumps, payload)
+
+
+int_or_bool_lists = st.recursive(
+    st.lists(st.integers(-3, 3) | st.booleans(), max_size=4),
+    lambda children: st.lists(children, max_size=4),
+    max_leaves=20,
+)
+
+
+@given(int_or_bool_lists)
+def test_dumps_canonical_of_nested_int_and_bool_lists_is_the_stdlib_dump(payload):
+    warm_memos()
+    for value in (payload, {"a": payload}):
+        assert dumps_canonical(value) == reference_dumps(value)
+
+
+@pytest.mark.parametrize(
+    "monodromy, message",
+    [
+        ([[True, 2]], "branch_points[0].monodromy: expected lists of integer sheets, got [[True, 2]]"),
+        ([[1.0, 2]], "branch_points[0].monodromy: expected lists of integer sheets, got [[1.0, 2]]"),
+        ([[Sheet.ONE, 2]], "branch_points[0].monodromy: expected lists of integer sheets, got [[<Sheet.ONE: 1>, 2]]"),
+        ([[1]], "branch_points[0].monodromy: a cycle needs two or more sheets, got [1]"),
+        ([[1, 1]], "repeated sheet inside cycle (1, 1)"),
+        ([[1, 5]], "sheet 5 outside 1..4"),
+        ([[1, 2], [2, 3]], "sheet 2 appears in two cycles"),
+    ],
+)
+def test_a_warm_decoder_memo_keeps_every_error(monodromy, message):
+    warm_memos()
+    assert perm_from_cycles.cache_info().hits > 0
+    document = {"degree": 4, "branch_points": [{"label": "b1", "monodromy": monodromy}]}
+    before = perm_from_cycles.cache_info().currsize
+    for _ in range(2):
+        with pytest.raises(ValueError) as err:
+            cover_from_dict(document)
+        assert str(err.value) == message
+    assert perm_from_cycles.cache_info().currsize == before
+
+
+def test_decode_then_encode_is_byte_identical_with_cold_and_warm_memos():
+    documents = [(decode, dumps_canonical(payload)) for decode, payload in sampled_documents()]
+    for memo in (jsonio._int_lists_text, perm_from_cycles):
+        memo.cache_clear()
+    for _ in range(2):  # cold, then warm
+        for decode, text in documents:
+            decoded = decode(json.loads(text))
+            payload = tower_to_dict(decoded) if decode is tower_from_dict else cover_to_dict(decoded.cover)
+            assert dumps_canonical(payload) == text
+    labels = sum(len(json.loads(text)["branch_points"]) for _, text in documents)
+    info = perm_from_cycles.cache_info()
+    # every label goes through jsonio.perm_from_cycles, which test_cli replaces
+    assert info.hits + info.misses == 2 * labels
+    assert info.currsize == info.misses < labels

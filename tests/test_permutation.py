@@ -1,6 +1,7 @@
 import functools
 import importlib
 import itertools
+import json
 import pkgutil
 import random
 
@@ -17,7 +18,7 @@ from trigonal import (
     product,
 )
 import trigonal
-from trigonal import covers, forward, groups, sampling
+from trigonal import covers, forward, groups, jsonio, sampling
 from trigonal.batch import SUITES, run_batch, spread_configs
 from trigonal.permutation import (
     MEMO_SIZE,
@@ -172,6 +173,8 @@ MEMOS = (
     forward._square_breaks,
     groups.block_table,
     groups.symmetric_table,
+    jsonio._int_lists_text,
+    jsonio.perm_from_cycles,
     sampling._labels,
     sampling._lift_pools,
     sampling._symmetric_pools,
@@ -312,7 +315,16 @@ def test_memos_stay_far_below_their_bound_over_the_five_suites():
     for memo in MEMOS:
         memo.cache_clear()
     for suite in sorted(SUITES):
-        assert run_batch(suite, spread_configs(suite, 40, 1, 3, 8)).passed, suite
+        configs = spread_configs(suite, 40, 1, 3, 8)
+        assert run_batch(suite, configs).passed, suite
+        # the suites write no documents: write and read back each instance's
+        for cfg in configs:
+            if cfg.mode == sampling.SAMPLE_M0:
+                text = jsonio.dumps_canonical(jsonio.cover_to_dict(sampling.sample_tetragonal(cfg).cover))
+                jsonio.tetragonal_from_dict(json.loads(text))
+            else:
+                text = jsonio.dumps_canonical(jsonio.tower_to_dict(sampling.sample_tower(cfg)))
+                jsonio.tower_from_dict(json.loads(text))
     for memo in MEMOS:
         info = memo.cache_info()
         assert info.maxsize == MEMO_SIZE
