@@ -73,15 +73,12 @@ def _int_lists(value: Sequence) -> tuple[tuple[int, ...], ...] | None:
 
 @functools.lru_cache(maxsize=MEMO_SIZE)
 def _int_lists_text(key: tuple[tuple[int, ...], ...], indent: str) -> str:
-    """``key`` rendered as ``_write`` renders a list of int lists at
-    ``indent``."""
-    inner = indent + "  "
-    deeper = inner + "  "
-    separator = "," + deeper
-    return "[" + inner + ("," + inner).join(
-        "[" + deeper + separator.join(map(_int_str, cycle)) + inner + "]" if cycle else "[]"
-        for cycle in key
-    ) + indent + "]"
+    """``key`` rendered by ``_write`` at ``indent``.  Its cycles are
+    tuples, which ``_int_lists`` refuses, so ``_write`` renders it
+    without coming back to this memo."""
+    pieces: list[str] = []
+    _write(key, pieces.append, indent)
+    return "".join(pieces)
 
 
 def _write(value: Any, out: Callable[[str], None], indent: str) -> None:
