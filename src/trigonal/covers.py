@@ -9,7 +9,16 @@ whose monodromy would be trivial is simply not a branch label.
 
 Nodal curves are modelled by a smooth cover (the normalization) plus
 side-band node markers: unordered pairs of fibre points that are glued.
-Nodes are never encoded into the permutations themselves.
+Nodes are never encoded into the permutations themselves.  A fibre
+point, ``CoverPoint``, is the tuple ``(label, cycle)`` with its cycle
+checked and rotated to start at its smallest sheet when it is built,
+so points compare and hash as tuples do.
+
+``iter_isomorphisms`` propagates over the distinct pairs of entries
+(labels repeat a few group elements), and each orbit's map to a
+target is propagated only when the search first tries that target, so
+a caller taking the first relabeling stops there.
+``nodal_isomorphisms`` compares node sets as ``(label, cycle)`` tuples.
 
 A cover's orbits, components and label -> entry dict are
 ``functools.cached_property`` values, computed on first read; they are
@@ -35,6 +44,7 @@ monodromy to an invariant orbit is one.
 from __future__ import annotations
 
 import functools
+from collections import namedtuple
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
@@ -123,26 +133,25 @@ def _ramification(images: tuple[int, ...]) -> int:
     return len(images) - len(Permutation(images).cycles(include_fixed=True))
 
 
-@dataclass(frozen=True)
-class CoverPoint:
+class CoverPoint(namedtuple("CoverPoint", ("label", "cycle"))):
     """A point of a cover lying over a branch label.
 
     Fibre points over a label correspond to cycles of the monodromy
     there; the cycle is stored rotated to start at its smallest sheet.
     A label the cover is not branched over is allowed: its fibre points
-    are the singleton cycles of the implicit identity.
+    are the singleton cycles of the implicit identity.  A point is the
+    validated tuple ``(label, cycle)``, so it compares and hashes as
+    that tuple does.
     """
 
-    label: str
-    cycle: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not self.cycle:
+    def __new__(cls, label: str, cycle: tuple[int, ...]) -> "CoverPoint":
+        if not cycle:
             raise ValueError("a cover point needs a non-empty cycle")
-        if len(set(self.cycle)) != len(self.cycle):
-            raise ValueError(f"repeated sheet in cycle {self.cycle!r}")
-        pivot = self.cycle.index(min(self.cycle))
-        object.__setattr__(self, "cycle", tuple(self.cycle[pivot:]) + tuple(self.cycle[:pivot]))
+        if len(set(cycle)) != len(cycle):
+            raise ValueError(f"repeated sheet in cycle {cycle!r}")
+        return tuple.__new__(cls, (label, _least_first(tuple(cycle))))
 
     @property
     def ramification_index(self) -> int:
@@ -150,6 +159,12 @@ class CoverPoint:
 
     def mapped(self, rho: Permutation) -> "CoverPoint":
         return CoverPoint(self.label, tuple(rho(s) for s in self.cycle))
+
+
+def _least_first(cycle: tuple[int, ...]) -> tuple[int, ...]:
+    """``cycle`` rotated to start at its smallest sheet."""
+    pivot = cycle.index(min(cycle))
+    return cycle[pivot:] + cycle[:pivot]
 
 
 def label_cycles(cover: BranchedCover, label: str) -> tuple[tuple[int, ...], ...]:
@@ -227,8 +242,9 @@ class NodalCoverModel:
                 raise ValueError(f"node endpoints over different labels: {a.label!r}, {b.label!r}")
             if a == b:
                 raise ValueError(f"node glues a point to itself: {a!r}")
+            cycles = label_cycles(self.normalization, a.label)
             for p in (a, b):
-                if p.cycle not in label_cycles(self.normalization, p.label):
+                if p.cycle not in cycles:
                     raise ValueError(f"{p!r} is not a fibre point of the normalization")
                 if p in seen:
                     raise ValueError(f"{p!r} appears in two nodes")
@@ -240,9 +256,11 @@ class NodalCoverModel:
 
 def arithmetic_genus(model: NodalCoverModel) -> int:
     """Arithmetic genus of the glued curve: component genera plus nodes
-    minus components plus one."""
-    parts = model.normalization.components
-    return sum(genus(c.cover) for c in parts) + len(model.nodes) - len(parts) + 1
+    minus components plus one.  A connected normalization is its own
+    one component."""
+    cover = model.normalization
+    parts = [cover] if cover.is_connected() else [c.cover for c in cover.components]
+    return sum(map(genus, parts)) + len(model.nodes) - len(parts) + 1
 
 
 def iter_isomorphisms(first: BranchedCover, second: BranchedCover) -> Iterator[Permutation]:
@@ -259,30 +277,38 @@ def iter_isomorphisms(first: BranchedCover, second: BranchedCover) -> Iterator[P
         raise ValueError(f"branch labels differ: {first.labels!r} vs {second.labels!r}")
 
     n = first.degree
-    pairs = [(s.images, t.images) for s, t in zip(first.monodromy, second.monodromy)]
+    # labels repeat a few group elements: propagate over the distinct pairs
+    pairs = list(dict.fromkeys((s.images, t.images) for s, t in zip(first.monodromy, second.monodromy)))
     # a relabeling is fixed on each orbit by its least sheet's image:
-    # one map per orbit and target, then one disjoint pick per orbit in turn
-    choices = []
-    for orbit in first.orbits:
-        found = (_propagate(pairs, orbit[0], t) for t in range(1, n + 1))
-        # each map with its images as the bits 1 << image (it is one-to-one)
-        choices.append([(m, sum(1 << i for i in m.values())) for m in found if m is not None])
+    # one map per orbit and target, propagated when first tried, then one
+    # disjoint pick per orbit in turn
+    starts = [orbit[0] for orbit in first.orbits]
+    found: list[dict] = [{} for _ in starts]  # per orbit: target -> (map, its image bits) or None
     images = [0] * n  # each orbit's current pick, written over its sheets
-    levels = [(iter(choices[0]), 0)]  # per orbit: its maps left, the image bits used before it
+    levels = [(iter(range(1, n + 1)), 0)]  # per orbit: its targets left, the image bits used before it
     while levels:
-        maps, used = levels[-1]
-        pick = next(maps, None)
-        if pick is None:
+        targets, used = levels[-1]
+        target = next(targets, None)
+        if target is None:
             levels.pop()
             continue
-        mapping, targets = pick
-        if not targets & used:
-            for sheet, image in mapping.items():
-                images[sheet - 1] = image
-            if len(levels) == len(choices):
-                yield Permutation(tuple(images))
-            else:
-                levels.append((iter(choices[len(levels)]), used | targets))
+        if used >> target & 1:
+            continue
+        known = found[len(levels) - 1]
+        if target not in known:
+            mapping = _propagate(pairs, starts[len(levels) - 1], target)
+            # with its images as the bits 1 << image (it is one-to-one)
+            known[target] = None if mapping is None else (mapping, sum(1 << i for i in mapping.values()))
+        pick = known[target]
+        if pick is None or pick[1] & used:
+            continue
+        mapping, bits = pick
+        for sheet, image in mapping.items():
+            images[sheet - 1] = image
+        if len(levels) == len(starts):
+            yield Permutation(tuple(images))
+        else:
+            levels.append((iter(range(1, n + 1)), used | bits))
 
 
 def _propagate(pairs: list, start: int, target: int) -> dict[int, int] | None:
@@ -304,8 +330,14 @@ def _propagate(pairs: list, start: int, target: int) -> dict[int, int] | None:
 
 def nodal_isomorphisms(first: NodalCoverModel, second: NodalCoverModel) -> Iterator[Permutation]:
     """All isomorphisms of normalizations carrying the node markers of
-    the first model onto those of the second."""
+    the first model onto those of the second, compared as
+    ``(label, least-first cycle)`` tuples."""
     want = second.node_set()
     for rho in iter_isomorphisms(first.normalization, second.normalization):
-        if frozenset(frozenset(p.mapped(rho) for p in pair) for pair in first.nodes) == want:
+        images = rho.images
+        mapped = frozenset(
+            frozenset((label, _least_first(tuple(images[s - 1] for s in cycle))) for label, cycle in pair)
+            for pair in first.nodes
+        )
+        if mapped == want:
             yield rho

@@ -26,7 +26,6 @@ checked once per element index and pair of sheet maps.
 """
 from __future__ import annotations
 
-import dataclasses
 import functools
 from dataclasses import dataclass
 
@@ -106,7 +105,8 @@ def construct(tower: Tower) -> ForwardResult:
         nodes=None,
     )
     if tower.mode == SPECIAL:
-        result = dataclasses.replace(result, nodes=special_nodes(tower, result))
+        # the result is not yet shared, so its markers are set in place
+        object.__setattr__(result, "nodes", special_nodes(tower, result))
     return result
 
 

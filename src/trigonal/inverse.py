@@ -158,7 +158,7 @@ def _glue_flips(
             continue
         if len(flips) != 2:
             raise AssertionError(f"{len(flips)} flip points at {label!r}; a node glues two")
-        (a, up_a), (b, up_b) = sorted(flips, key=lambda flip: -len(flip[0]))
+        (a, up_a), (b, up_b) = flips[::-1] if len(flips[1][0]) > len(flips[0][0]) else flips
         lower.append((CoverPoint(label, a), CoverPoint(label, b)))
         upper.append((CoverPoint(label, up_a), CoverPoint(label, up_b)))
     return NodalCoverModel(trigonal, tuple(lower)), NodalCoverModel(cover, tuple(upper))
@@ -207,17 +207,16 @@ def expected_inverse(tower: Tower) -> GluedTower:
     blocks the tower does not.  Over each flip label the twisted entry
     thus flips exactly two blocks; they are glued downstairs, and their
     in-block 2-cycles, which are the blocks themselves, upstairs.  The
-    twist is trivial for etale and special towers.
+    twist is trivial for etale and special towers, which have no label
+    of odd flip weight: their cover is glued as it is.
     """
-    tau = Permutation.from_cycles(6, tower.blocks)
-    weights = flip_weights(tower.flips)
-    twisted = BranchedCover.from_pairs(
-        6,
-        (
-            (label, compose(perm, tau) if weights[label] % 2 else perm)
-            for label, perm in tower.cover.entries()
-        ),
-    )
+    odd = {label for label, weight in flip_weights(tower.flips).items() if weight % 2}
+    twisted = tower.cover
+    if odd:
+        tau = Permutation.from_cycles(6, tower.blocks)
+        twisted = BranchedCover.from_pairs(
+            6, ((label, compose(perm, tau) if label in odd else perm) for label, perm in twisted.entries())
+        )
     trigonal_model, double_model = _glue_flips(twisted, tower.trigonal, tower.blocks)
     pa = arithmetic_genus(trigonal_model)
     if pa != tower.genus + len(tower.flip_labels()):

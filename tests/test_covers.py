@@ -14,12 +14,15 @@ from trigonal import (
     Permutation,
     arithmetic_genus,
     conjugate,
+    construct,
+    expected_inverse,
     genus,
     iter_isomorphisms,
     label_cycles,
     nodal_isomorphisms,
 )
-from trigonal.jsonio import cover_from_dict
+from trigonal import covers
+from trigonal.jsonio import cover_from_dict, tower_from_dict
 
 from conftest import disconnected_covers, permutations, product_one_tuples, transitive_covers
 
@@ -161,6 +164,23 @@ def test_cover_points_canonicalize_rotation():
     assert mapped == CoverPoint("a", (3, 4))
 
 
+def test_a_cover_point_is_a_validated_tuple():
+    point = CoverPoint("b", [4, 2, 3])
+    assert point.label == "b" and point.cycle == (2, 3, 4)
+    assert point == ("b", (2, 3, 4)) and tuple(point) == ("b", (2, 3, 4))
+    rotated = CoverPoint("b", (3, 4, 2))
+    assert rotated == point and hash(rotated) == hash(point)
+    assert repr(CoverPoint("b", (3,))) == "CoverPoint(label='b', cycle=(3,))"
+    with pytest.raises(ValueError, match=r"^a cover point needs a non-empty cycle$"):
+        CoverPoint("b", ())
+    with pytest.raises(ValueError, match=r"^repeated sheet in cycle \(1, 2, 1\)$"):
+        CoverPoint("b", (1, 2, 1))
+    with pytest.raises(AttributeError):
+        point.cycle = (1,)
+    with pytest.raises(AttributeError):
+        point.weight = 1
+
+
 def test_label_cycles_and_fiber_points():
     cover = BranchedCover.from_pairs(
         3,
@@ -205,6 +225,51 @@ def test_nodal_model_rejects_reused_points():
         NodalCoverModel(cover, ((p, CoverPoint("w9", (1, 2))),))  # label off the cover
     with pytest.raises(ValueError):
         NodalCoverModel(cover, ((p, CoverPoint("w1", (1,))),))  # not a fibre cycle
+
+
+def test_nodal_model_error_messages():
+    flip = Permutation((2, 1, 3, 4))
+    cover = BranchedCover.from_pairs(4, [("a", flip), ("b", flip)])
+    p, q, r = (CoverPoint("u", (sheet,)) for sheet in (1, 2, 3))  # over an unbranched label
+    with pytest.raises(ValueError, match=r"^node endpoints over different labels: 'a', 'u'$"):
+        NodalCoverModel(cover, ((CoverPoint("a", (3,)), p),))
+    with pytest.raises(ValueError, match=r"^node glues a point to itself: CoverPoint\(label='u', cycle=\(1,\)\)$"):
+        NodalCoverModel(cover, ((p, p),))
+    with pytest.raises(
+        ValueError, match=r"^CoverPoint\(label='a', cycle=\(1,\)\) is not a fibre point of the normalization$"
+    ):
+        NodalCoverModel(cover, ((CoverPoint("a", (1,)), CoverPoint("a", (3,))),))
+    with pytest.raises(
+        ValueError, match=r"^CoverPoint\(label='a', cycle=\(2,\)\) is not a fibre point of the normalization$"
+    ):
+        NodalCoverModel(cover, ((CoverPoint("a", (3,)), CoverPoint("a", (2,))),))  # the second end too
+    with pytest.raises(ValueError, match=r"^CoverPoint\(label='u', cycle=\(1,\)\) appears in two nodes$"):
+        NodalCoverModel(cover, ((p, q), (p, r)))
+    assert NodalCoverModel(cover, ((p, q), (CoverPoint("a", (1, 2)), CoverPoint("a", (3,))))).node_set() == {
+        frozenset((p, q)),
+        frozenset((("a", (1, 2)), ("a", (3,)))),
+    }
+
+
+def _arithmetic_genus_by_components(model):
+    parts = model.normalization.components
+    return sum(genus(part.cover) for part in parts) + len(model.nodes) - len(parts) + 1
+
+
+def test_arithmetic_genus_sums_component_genera_on_connected_and_split_normalizations(fixture_doc):
+    nodes = construct(tower_from_dict(fixture_doc("tower_special_g3.json"))).nodes
+    models = [nodes.sections, nodes.quotient, nodes.orientation]
+    for mode in ("general", "special", "etale"):
+        glued = expected_inverse(tower_from_dict(fixture_doc(f"tower_{mode}_g3.json")))
+        models += [glued.trigonal_model, glued.double_model]
+    flip, other = Permutation((2, 1, 4, 3)), Permutation((2, 1, 3, 4))
+    split = BranchedCover.from_pairs(4, [("a", flip), ("b", other), ("c", other), ("d", flip)])
+    models += [NodalCoverModel(split), NodalCoverModel(BranchedCover(3, (), ()))]
+    assert {model.normalization.is_connected() for model in models} == {True, False}
+    for model in models:
+        assert arithmetic_genus(model) == _arithmetic_genus_by_components(model)
+    # the special tower's split sections curve, its quotient and its orientation cover
+    assert [arithmetic_genus(model) for model in models[:3]] == [7, 4, 0]
 
 
 @given(transitive_covers(4))
@@ -268,6 +333,24 @@ def test_isomorphism_search_leaves_no_cyclic_garbage(fixture_doc):
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def test_a_first_relabeling_propagates_from_fewer_targets_than_the_degree(fixture_doc, monkeypatch):
+    cover = cover_from_dict(fixture_doc("tetragonal_m0_g2.json"))
+    targets = []
+    propagate = covers._propagate
+
+    def counted(pairs, start, target):
+        targets.append(target)
+        return propagate(pairs, start, target)
+
+    monkeypatch.setattr(covers, "_propagate", counted)
+    assert cover.is_connected() and next(iter_isomorphisms(cover, cover)).is_identity()
+    assert targets == [1] and len(targets) < cover.degree
+    # the full list still tries every target once, and is the brute-force list
+    targets.clear()
+    assert list(iter_isomorphisms(cover, cover)) == _brute_force(cover, cover)
+    assert targets == list(range(1, cover.degree + 1))
 
 
 def _relabel(cover, rho):
